@@ -15,7 +15,6 @@ import argparse
 import decimal
 import sys
 import time
-from fractions import Fraction
 from pathlib import Path
 from typing import List, Optional
 

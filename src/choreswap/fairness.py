@@ -4,22 +4,21 @@ Envy quantification is over ordered pairs (i, h) with h != i; self-envy
 is vacuous. Division-by-zero convention: a zero numerator over an empty
 rival bundle is satisfied (ratio 0), a positive numerator over an empty
 rival bundle is an Infinite factor.
+
+Inputs and results are exact rationals. Comparisons are integer
+cross-multiplications on per-row integer rescalings: every notion here
+is invariant under scaling one agent's row (or the price vector) by a
+positive constant.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Optional, Sequence, Union
+from typing import Optional, Sequence, Union
 
-from .errors import (
-    AgentOutOfRange,
-    BudgetExceeded,
-    IncompleteAllocation,
-    PriceLengthMismatch,
-)
-from .model import INFINITE, Allocation, Instance, bundle_disutility
+from .errors import IncompleteAllocation, PriceLengthMismatch
+from .model import INFINITE, Allocation, Instance, bundle_disutility, integer_row
 
 DEFAULT_BUDGET = 1 << 22
 
@@ -39,121 +38,97 @@ def hat_d(inst: Instance, i: int, chores) -> Fraction:
 
     Equals the worst single-removal residual max_{j in S} d_i(S \\ {j}).
     """
-    inst.check_agent(i)
     chores = list(chores)
+    total = bundle_disutility(inst, i, chores)
     if len(chores) <= 1:
-        if chores:
-            inst.check_chore(chores[0])
         return Fraction(0)
-    row = inst.d[i]
-    total = Fraction(0)
-    lo = None
-    for j in chores:
-        inst.check_chore(j)
-        total += row[j]
-        if lo is None or row[j] < lo:
-            lo = row[j]
-    return total - lo
+    return total - min(inst.d[i][j] for j in chores)
+
+
+def _residual(row, bundle, k: Optional[int] = None):
+    """Cost of bundle under row after dropping its k costliest chores, or,
+    when k is None, its cheapest chore (0 for at most one chore)."""
+    vals = [row[j] for j in bundle]
+    if k is None:
+        return sum(vals) - min(vals) if len(vals) > 1 else 0
+    vals.sort(reverse=True)
+    return sum(vals[k:])
+
+
+def _envy_terms(rows, bundles, k: Optional[int] = None):
+    """Numerators nums[i] = _residual(rows[i], bundles[i], k) and cross
+    sums cross[i][h] = cost of bundles[h] under rows[i]."""
+    nums = [_residual(row, b, k) for row, b in zip(rows, bundles)]
+    cross = [[sum([row[j] for j in b]) for b in bundles] for row in rows]
+    return nums, cross
+
+
+def _worst_envy(nums, cross, agents=None):
+    """Largest nums[i] / cross[i][h] over the given agents i (all by
+    default) with nums[i] != 0 and every h != i, as an exact (num, den)
+    pair: (0, 1) when nobody envies, den == 0 for an Infinite ratio."""
+    worst_num, worst_den = 0, 1
+    for i in range(len(nums)) if agents is None else agents:
+        a = nums[i]
+        if a == 0:
+            continue
+        for h, b in enumerate(cross[i]):
+            if h == i:
+                continue
+            if b == 0:
+                return a, 0
+            if a * worst_den > worst_num * b:
+                worst_num, worst_den = a, b
+    return worst_num, worst_den
+
+
+def _within(worst, lam) -> bool:
+    """worst <= lam for a (num, den) pair of _worst_envy and a rational lam."""
+    num, den = worst
+    return num == 0 or (den != 0 and num * lam.denominator <= lam.numerator * den)
+
+
+def _envy(rows, X: Allocation, k: Optional[int] = None):
+    """_worst_envy of the complete allocation X under per-agent cost rows."""
+    _require_complete(X)
+    return _worst_envy(*_envy_terms(rows, X.bundles(), k))
 
 
 def efx_factor(inst: Instance, X: Allocation) -> Union[Fraction, object]:
     """Minimum lambda >= 0 such that X is lambda-EFX, or INFINITE."""
-    _require_complete(X)
-    bundles = X.bundles()
-    worst = Fraction(0)
-    for i in range(inst.n):
-        num = hat_d(inst, i, bundles[i])
-        if num == 0:
-            continue
-        for h in range(inst.n):
-            if h == i:
-                continue
-            den = bundle_disutility(inst, i, bundles[h])
-            if den == 0:
-                return INFINITE
-            ratio = num / den
-            if ratio > worst:
-                worst = ratio
-    return worst
+    num, den = _envy(inst.integer_rows(), X)
+    return INFINITE if den == 0 else Fraction(num, den)
 
 
 def is_alpha_efx(inst: Instance, X: Allocation, lam: Fraction) -> bool:
     """True iff d_i(X_i \\ {j}) <= lam * d_i(X_h) for all i, h != i, j in X_i."""
-    _require_complete(X)
-    bundles = X.bundles()
-    for i in range(inst.n):
-        num = hat_d(inst, i, bundles[i])
-        if num == 0:
-            continue
-        for h in range(inst.n):
-            if h != i and num > lam * bundle_disutility(inst, i, bundles[h]):
-                return False
-    return True
+    return _within(_envy(inst.integer_rows(), X), lam)
 
 
 def is_alpha_efk(inst: Instance, X: Allocation, alpha: Fraction, k: int) -> bool:
     """True iff each agent, after dropping her k largest own chores, is
     within factor alpha of every rival bundle."""
+    return _within(_envy(inst.integer_rows(), X, k), alpha)
+
+
+def _price_envy(inst: Instance, X: Allocation, p: Sequence[Fraction], k: Optional[int]):
     _require_complete(X)
-    bundles = X.bundles()
-    for i in range(inst.n):
-        row = inst.d[i]
-        vals = sorted((row[j] for j in bundles[i]), reverse=True)
-        num = sum(vals[k:], Fraction(0))
-        if num == 0:
-            continue
-        for h in range(inst.n):
-            if h != i and num > alpha * bundle_disutility(inst, i, bundles[h]):
-                return False
-    return True
-
-
-def _p_minus_k(p: Sequence[Fraction], bundle, k: int) -> Fraction:
-    vals = sorted((p[j] for j in bundle), reverse=True)
-    return sum(vals[k:], Fraction(0))
-
-
-def _p_hat(p: Sequence[Fraction], bundle) -> Fraction:
-    if len(bundle) <= 1:
-        return Fraction(0)
-    vals = [p[j] for j in bundle]
-    return sum(vals, Fraction(0)) - min(vals)
+    _require_prices(inst, p)
+    return _envy([integer_row(p)] * inst.n, X, k)
 
 
 def is_pefk(
     inst: Instance, X: Allocation, p: Sequence[Fraction], alpha: Fraction, k: int
 ) -> bool:
     """Price-EFk: p_{-k}(X_i) <= alpha * p(X_h) for all i, h != i."""
-    _require_complete(X)
-    _require_prices(inst, p)
-    bundles = X.bundles()
-    earnings = [sum((p[j] for j in b), Fraction(0)) for b in bundles]
-    for i in range(inst.n):
-        num = _p_minus_k(p, bundles[i], k)
-        if num == 0:
-            continue
-        for h in range(inst.n):
-            if h != i and num > alpha * earnings[h]:
-                return False
-    return True
+    return _within(_price_envy(inst, X, p, k), alpha)
 
 
 def is_pefx(
     inst: Instance, X: Allocation, p: Sequence[Fraction], alpha: Fraction
 ) -> bool:
     """Price-EFX: earnings after excluding the least priced own chore."""
-    _require_complete(X)
-    _require_prices(inst, p)
-    bundles = X.bundles()
-    earnings = [sum((p[j] for j in b), Fraction(0)) for b in bundles]
-    for i in range(inst.n):
-        num = _p_hat(p, bundles[i])
-        if num == 0:
-            continue
-        for h in range(inst.n):
-            if h != i and num > alpha * earnings[h]:
-                return False
-    return True
+    return _within(_price_envy(inst, X, p, None), alpha)
 
 
 @dataclass(frozen=True)
@@ -223,7 +198,7 @@ class EnvyRow:
             return Fraction(0)
         if self.denominator == 0:
             return INFINITE
-        return self.numerator / self.denominator
+        return Fraction(self.numerator, self.denominator)
 
 
 @dataclass(frozen=True)
@@ -241,21 +216,17 @@ class EnvyReport:
 
 
 def envy_report(inst: Instance, X: Allocation, k: Optional[int] = None) -> EnvyReport:
-    """Pairwise envy quantities; EFX worst-removal numerators by default,
-    EFk removal of the k largest chores when k is given."""
+    """Pairwise envy quantities in the instance's own units; EFX
+    worst-removal numerators by default, EFk removal of the k largest
+    chores when k is given."""
     _require_complete(X)
-    bundles = X.bundles()
+    nums, cross = _envy_terms(inst.d, X.bundles(), k)
     notion = "efx" if k is None else f"ef{k}"
-    rows = []
-    for i in range(inst.n):
-        if k is None:
-            num = hat_d(inst, i, bundles[i])
-        else:
-            vals = sorted((inst.d[i][j] for j in bundles[i]), reverse=True)
-            num = sum(vals[k:], Fraction(0))
-        for h in range(inst.n):
-            if h == i:
-                continue
-            den = bundle_disutility(inst, i, bundles[h])
-            rows.append(EnvyRow(i, h, notion, num, den))
-    return EnvyReport(tuple(rows))
+    return EnvyReport(
+        tuple(
+            EnvyRow(i, h, notion, nums[i], cross[i][h])
+            for i in range(inst.n)
+            for h in range(inst.n)
+            if h != i
+        )
+    )

@@ -20,8 +20,8 @@ from .errors import (
     PostconditionViolated,
     SelfSwap,
 )
-from .fairness import hat_d
-from .model import Allocation, Instance, allocation_from_bundles, bundle_disutility
+from .fairness import _envy_terms, _within, _worst_envy, efx_factor, hat_d
+from .model import Allocation, Instance, bundle_disutility
 
 
 @dataclass(frozen=True)
@@ -160,7 +160,6 @@ class SwapTrace:
     swaps: List[Tuple[int, int, int]] = field(default_factory=list)
     invariants: List[Tuple[int, str, bool]] = field(default_factory=list)
     phase1: Optional[Allocation] = None
-    snapshots: List[Allocation] = field(default_factory=list)
     final_factor: object = None
     flags: List[str] = field(default_factory=list)
 
@@ -180,16 +179,6 @@ class SwapTrace:
         return "\n".join(lines) + "\n"
 
 
-def _is_lam_efx_agent(inst, bundles, i, lam) -> bool:
-    num = hat_d(inst, i, bundles[i])
-    if num == 0:
-        return True
-    for h in range(inst.n):
-        if h != i and num > lam * bundle_disutility(inst, i, bundles[h]):
-            return False
-    return True
-
-
 def run_framework(
     inst: Instance, Y: Allocation, cert: FriendlyCertificate
 ) -> Tuple[Allocation, SwapTrace]:
@@ -198,55 +187,56 @@ def run_framework(
 
     Requires a valid certificate. The returned allocation always satisfies
     efx_factor <= lambda; that postcondition and the three per-iteration
-    invariants are re-verified and escalate on failure.
+    invariants are re-verified and escalate on failure. Envy is compared
+    on the integer rescaling of each row, which leaves lambda-EFX unchanged.
     """
-    from .fairness import efx_factor  # local to avoid cycles at import time
-
     violations = validate_certificate(inst, Y, cert)
     if violations:
         raise CertificateInvalid(violations)
     lam = cert.lam
     trace = SwapTrace(lam=lam, mode=cert.mode)
-    bundles = [set(b) for b in Y.bundles()]
+    rows = inst.integer_rows()
+    bundles = Y.bundles()
     order = sorted(cert.nh)  # NH re-indexed as [r] in ascending agent order
     desig = {i: designated_chore(inst, i, bundles[i]) for i in order}
 
     # Phase 1: pull out the designated chores and re-allocate round-robin.
     pool = set(desig.values())
-    for i in order:
-        bundles[i].discard(desig[i])
+    owners = list(Y.owners)
     picked = {}
     for i in order:
-        j = min(pool, key=lambda c: (inst.d[i][c], c))
+        j = min(pool, key=lambda c: (rows[i][c], c))
         pool.remove(j)
-        bundles[i].add(j)
+        owners[j] = i
         picked[i] = j
         trace.picks.append((i, j))
-    trace.phase1 = allocation_from_bundles(inst.n, inst.m, bundles)
+    X = trace.phase1 = Allocation(inst.n, tuple(owners))
 
     # Pick-order dominance: each agent weakly prefers her own pick to
     # every later agent's pick.
     for a in range(len(order)):
         for b in range(a + 1, len(order)):
             i, h = order[a], order[b]
-            if inst.d[i][picked[i]] > inst.d[i][picked[h]]:
+            if rows[i][picked[i]] > rows[i][picked[h]]:
                 trace.flags.append(f"pick-dominance i={i + 1} h={h + 1}")
 
-    # Phase 2: chore swaps in pick order.
+    # Phase 2: chore swaps in pick order. nums and cross change only when
+    # a swap does.
+    nums, cross = _envy_terms(rows, X.bundles())
+
+    def lam_efx(agents) -> bool:
+        return _within(_worst_envy(nums, cross, agents), lam)
+
     swapped = set()
     for pos, i in enumerate(order):
         # Invariant (i): agents at or after this position have not swapped.
         inv1 = all(h not in swapped for h in order[pos:])
         trace.invariants.append((i, "i", inv1))
-        if not _is_lam_efx_agent(inst, bundles, i, lam):
-            l = min(
-                (h for h in range(inst.n) if h != i),
-                key=lambda h: (bundle_disutility(inst, i, bundles[h]), h),
-            )
+        if not lam_efx((i,)):
+            l = min((h for h in range(inst.n) if h != i), key=lambda h: (cross[i][h], h))
             j_i = picked[i]
-            bundles[i] |= bundles[l]
-            bundles[i].discard(j_i)
-            bundles[l] = {j_i}
+            X = chore_swap(X, i, l, j_i)
+            nums, cross = _envy_terms(rows, X.bundles())
             swapped.add(i)
             swapped.add(l)
             trace.swaps.append((i, l, j_i))
@@ -254,21 +244,15 @@ def run_framework(
                 trace.flags.append(f"swap-target l={l + 1} outside N0+[i-1]")
             # Invariant (ii): i is lambda-EFX and bounded by her designated
             # chore right after the swap (hat-d bound in weak mode).
-            if cert.weak:
-                bound_lhs = hat_d(inst, i, bundles[i])
-            else:
-                bound_lhs = bundle_disutility(inst, i, bundles[i])
-            inv2 = _is_lam_efx_agent(inst, bundles, i, lam) and bound_lhs <= lam * inst.d[i][j_i]
+            bound_lhs = nums[i] if cert.weak else cross[i][i]
+            inv2 = lam_efx((i,)) and (
+                bound_lhs * lam.denominator <= lam.numerator * rows[i][j_i]
+            )
             trace.invariants.append((i, "ii", inv2))
         # Invariant (iii): N0 and the first pos+1 NH agents are lambda-EFX.
-        done = set(cert.n0) | set(order[: pos + 1])
-        inv3 = all(_is_lam_efx_agent(inst, bundles, h, lam) for h in sorted(done))
+        inv3 = lam_efx(cert.n0 | set(order[: pos + 1]))
         trace.invariants.append((i, "iii", inv3))
-        trace.snapshots.append(
-            allocation_from_bundles(inst.n, inst.m, bundles)
-        )
 
-    X = allocation_from_bundles(inst.n, inst.m, bundles)
     factor = efx_factor(inst, X)
     trace.final_factor = factor
     failed = [rec for rec in trace.invariants if not rec[2]]

@@ -1,8 +1,9 @@
 """Exact data model: instances, allocations, prices, random generation.
 
-All numeric quantities are `fractions.Fraction`; no floating point enters
-any fairness computation. Instances, allocations and price vectors are
-immutable after construction and safe to share across threads.
+All numeric quantities are exact: `int` or `fractions.Fraction`, never
+float or bool; no floating point enters any fairness computation.
+Instances, allocations and price vectors are immutable after
+construction and safe to share across threads.
 """
 
 from __future__ import annotations
@@ -69,10 +70,19 @@ def format_rational(x: Fraction) -> str:
     return str(x)
 
 
+def integer_row(row: Sequence[Fraction]) -> list:
+    """row times the least common multiple of its denominators."""
+    scale = math.lcm(*[v.denominator for v in row])
+    return [v.numerator * (scale // v.denominator) for v in row]
+
+
+_EXACT = (int, Fraction)
+
+
 @dataclass(frozen=True)
 class Instance:
     """A chore division instance: n agents, m chores, strictly positive
-    disutility matrix d (n rows, m columns)."""
+    disutility matrix d (n rows, m columns) of ints or Fractions."""
 
     d: tuple
 
@@ -84,6 +94,13 @@ class Instance:
             if len(row) != m:
                 raise RowCountMismatch(f"row {i + 1} has {len(row)} entries, expected {m}")
             for j, v in enumerate(row):
+                # The type lookup keeps the common case cheap; bool is an int.
+                if type(v) not in _EXACT and (
+                    isinstance(v, bool) or not isinstance(v, _EXACT)
+                ):
+                    raise BadRational(
+                        f"d[{i + 1}][{j + 1}] = {v!r} is not an int or Fraction"
+                    )
                 if v <= 0:
                     raise NonPositiveDisutility(
                         f"d[{i + 1}][{j + 1}] = {v} is not positive"
@@ -115,11 +132,7 @@ class Instance:
 
     def integer_rows(self) -> list:
         """Per-row integer rescalings of d (row-scale invariant uses only)."""
-        out = []
-        for row in self.d:
-            scale = math.lcm(*(v.denominator for v in row)) if row else 1
-            out.append([int(v * scale) for v in row])
-        return out
+        return [integer_row(row) for row in self.d]
 
     def bivalued_k(self) -> Optional[Fraction]:
         """If all entries take at most two values {a, b}, return

@@ -12,11 +12,10 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import List, Optional, Sequence, Tuple
 
 from .errors import (
     BudgetExceeded,
-    CertificateInvalid,
     CouplingUnsatisfiable,
     InvariantViolation,
     NotBivalued,
@@ -31,7 +30,7 @@ from .fairness import (
     is_alpha_efx,
     is_pefk,
 )
-from .framework import FriendlyCertificate, SwapTrace, run_framework
+from .framework import FriendlyCertificate, SwapTrace, chore_swap, run_framework
 from .market import (
     InfeasibilityCycle,
     RatioConstraint,
@@ -41,12 +40,7 @@ from .market import (
     mpb_view,
     solve_ratio_system,
 )
-from .model import (
-    Allocation,
-    Instance,
-    allocation_from_bundles,
-    bundle_disutility,
-)
+from .model import Allocation, Instance, allocation_from_bundles
 
 
 @dataclass(frozen=True)
@@ -324,8 +318,9 @@ def _bivalued_candidate(
     cert = FriendlyCertificate(lam, frozenset(n0), frozenset(nh), weak=True)
     x, trace = run_framework(scaled, sol.x, cert)
     prices = sol.p
-    steps = [trace.phase1] if trace.phase1 is not None else []
-    steps.extend(trace.snapshots)
+    steps = [trace.phase1]
+    for swap in trace.swaps:
+        steps.append(chore_swap(steps[-1], *swap))
     if not all(is_mpb_allocation(norm, step, prices) for step in steps):
         # A Phase-1 pick or a swap can hand an agent a chore outside her
         # MPB set when the round-robin tie-break is unlucky; the output

@@ -56,26 +56,42 @@ def test_is_alpha_efk_examples():
 
 def test_efk_shortcut_matches_subset_enumeration():
     rng = random.Random(17)
+    scale_rng = random.Random(19)
     for trial in range(60):
         n, m = 2, rng.randint(2, 6)
         inst = generate_random(trial, n, m, UniformInt(1, 12))
+        if trial % 2:
+            inst = inst.scale_rows(
+                [Fraction(scale_rng.randint(1, 9), scale_rng.randint(2, 9)) for _ in range(n)]
+            )
         x = Allocation(n, tuple(rng.randrange(n) for _ in range(m)))
-        if not all(x.bundles()):
-            continue
         alpha = Fraction(rng.randint(0, 30), 10)
         k = rng.randint(0, 3)
         bundles = x.bundles()
         expected = True
+        ratios = []
         for i in range(n):
             best = min(
                 bundle_disutility(inst, i, set(bundles[i]) - set(s))
                 for r in range(min(k, len(bundles[i])) + 1)
                 for s in itertools.combinations(bundles[i], r)
             )
+            worst = max(
+                (bundle_disutility(inst, i, set(bundles[i]) - {j}) for j in bundles[i]),
+                default=0,
+            )
             for h in range(n):
-                if h != i and best > alpha * bundle_disutility(inst, i, bundles[h]):
+                if h == i:
+                    continue
+                rival = bundle_disutility(inst, i, bundles[h])
+                if best > alpha * rival:
                     expected = False
+                if worst > 0:
+                    ratios.append(INFINITE if rival == 0 else worst / rival)
         assert is_alpha_efk(inst, x, alpha, k) == expected
+        factor = max(ratios, default=Fraction(0))
+        assert efx_factor(inst, x) == factor
+        assert is_alpha_efx(inst, x, alpha) == (factor <= alpha)
 
 
 def test_pefk_and_pefx_examples():

@@ -166,6 +166,11 @@ def test_instance_validation():
         Instance(((Fraction(1), Fraction(-1)),))
     with pytest.raises(RowCountMismatch):
         Instance(((Fraction(1),), (Fraction(1), Fraction(2))))
+    with pytest.raises(BadRational):
+        Instance(((0.1, 0.2, 0.3), (0.3, 0.2, 0.1)))
+    with pytest.raises(BadRational):
+        Instance(((Fraction(1), True),))
+    assert Instance(((1, Fraction(1, 2)),)).integer_rows() == [[2, 1]]
 
 
 def test_allocation_validation():

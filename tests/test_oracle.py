@@ -6,6 +6,7 @@ import pytest
 
 from choreswap import (
     EnumerationCursor,
+    FriendlyCertificate,
     best_efx_factor,
     enumerate_allocations,
     generate_random,
@@ -19,6 +20,7 @@ from choreswap import (
 from choreswap.errors import BudgetExceeded, GenerationBudgetExceeded, TraceMismatch
 from choreswap.model import UniformInt
 from choreswap.oracle import CertificateBounds, oracle_csv_row
+from choreswap.pipelines import _round_robin_two_phase
 
 from conftest import inst_i1, make_instance
 
@@ -80,6 +82,23 @@ def test_verify_trace_round_trip():
         inst, y, cert = generate_valid_certificate(seed)
         x, trace = run_framework(inst, y, cert)
         assert verify_trace(inst, y, cert, trace)
+
+
+def test_verify_trace_replays_swap_phase():
+    # Generated certificates never swap; two-phase round-robin starts with
+    # every agent in N_H reach Phase 2 in about one run in ten.
+    rng = random.Random(3)
+    swaps = 0
+    for _ in range(400):
+        n = rng.randint(3, 8)
+        m = rng.randint(n + 1, 2 * n)
+        inst = generate_random(rng.randrange(1 << 30), n, m, UniformInt(1, 20))
+        y = _round_robin_two_phase(inst)
+        cert = FriendlyCertificate(Fraction(1), frozenset(), frozenset(range(n)), weak=True)
+        x, trace = run_framework(inst, y, cert)
+        assert verify_trace(inst, y, cert, trace)
+        swaps += trace.swap_count
+    assert swaps >= 40
 
 
 def test_verify_trace_rejects_forged_swap():
