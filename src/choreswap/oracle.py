@@ -1,8 +1,14 @@
-"""Independent brute-force ground truth at desk scale.
+"""Independent exact ground truth at desk scale.
 
 The envy inequalities here are re-implemented from scratch on purpose and
 do not call the solver-side checkers, so the two can cross-validate each
 other. Budgets are allocation-count caps (default 2^22), not wall time.
+
+`best_efx_factor` is an exact branch and bound over all n^m allocations.
+It cuts a branch only when a lower bound on the factor of every
+allocation below it already reaches the best factor found, so the
+minimum it returns is the one full enumeration gives; the tests keep
+the unpruned `EnumerationCursor` path as the reference for that claim.
 """
 
 from __future__ import annotations
@@ -21,6 +27,7 @@ from .errors import (
 from .framework import FriendlyCertificate, SwapTrace
 from .market import mpb_price_feasibility  # noqa: F401 (re-exported oracle aid)
 from .model import INFINITE, Allocation, Instance, allocation_from_bundles
+from .pipelines import search_pef1_mpb
 
 DEFAULT_ORACLE_BUDGET = 1 << 22
 
@@ -60,54 +67,72 @@ def enumerate_allocations(n: int, m: int):
 def best_efx_factor(inst: Instance, budget: int = DEFAULT_ORACLE_BUDGET):
     """Minimum efx factor over every complete allocation, exactly.
 
-    Exhaustive depth-first enumeration with incremental pairwise bundle
-    sums; ratios are compared by integer cross-multiplication.
+    Depth-first branch and bound over the n^m owner vectors, chores in
+    index order, with incremental pairwise bundle sums on integer rows
+    (the factor is invariant under row scaling). Ratios are exact
+    `(num, den)` integer pairs compared by cross-multiplication.
+
+    The pruning keeps the result exact. Agent i's final ratio is
+    hat_i / min_h cross_i[h]. Its numerator hat_i (bundle sum minus
+    bundle minimum) never shrinks as chores join i's bundle, and the
+    chores still unassigned can add at most rem[i] to i's value of the
+    rival bundles: to one of them, or to their total. So every leaf below
+    a node has a factor of at least
+        (a) hat_i / (cross_i[h] + rem[i])           for each h != i, and
+        (b) hat_i * (n-1) / (sum_{h!=i} cross_i[h] + rem[i]),
+    (b) because the smallest final rival sum is at most their average.
+    A branch where either bound already reaches the incumbent holds no
+    leaf strictly below it, and only a strictly smaller leaf replaces
+    the incumbent. At a leaf rem[i] == 0 and (a) over the smallest rival
+    is i's exact ratio.
     """
     n, m = inst.n, inst.m
     if n**m > budget:
         raise BudgetExceeded(f"{n}^{m} allocations exceed budget {budget}")
+    if n == 1:
+        return Fraction(0)  # no rival bundle to envy
     rows = inst.integer_rows()
+    cols = [[rows[i][j] for i in range(n)] for j in range(m)]
     # cross[i][h]: agent i's value of agent h's current bundle.
     cross = [[0] * n for _ in range(n)]
     minv = [0] * n  # own-row minimum within the own bundle
     cnt = [0] * n
-    best: Optional[Fraction] = None
+    rem = [sum(row) for row in rows]  # own value of the unassigned chores
+    rivals = n - 1
+    # Incumbent as (num, den); (1, 0) means none yet. Only an infinite
+    # bound reaches it, and infinite leaves are never the minimum.
+    best_num, best_den = 1, 0
 
-    def leaf():
-        nonlocal best
-        num_f: Optional[Fraction] = None  # max ratio for this allocation
+    def dfs(j: int):
+        nonlocal best_num, best_den
+        if best_num == 0:
+            return
+        worst_num, worst_den = 0, 1  # largest bound (a): at a leaf, the factor
         for i in range(n):
             if cnt[i] < 2:
                 continue
-            num = cross[i][i] - minv[i]
+            row = cross[i]
+            num = row[i] - minv[i]
             if num == 0:
                 continue
-            row_cross = cross[i]
-            for h in range(n):
-                if h == i:
-                    continue
-                den = row_cross[h]
-                if den == 0:
-                    return  # infinite factor, never the minimum
-                r = Fraction(num, den)
-                if num_f is None or r > num_f:
-                    num_f = r
-                    if best is not None and num_f >= best:
-                        return  # cannot beat the incumbent
-        val = num_f if num_f is not None else Fraction(0)
-        if best is None or val < best:
-            best = val
-
-    def dfs(j: int):
-        if best == 0:
-            return
+            others = row[:i] + row[i + 1 :]
+            den = min(others) + rem[i]
+            if num * best_den >= best_num * den:
+                return  # (a)
+            if num * rivals * best_den >= best_num * (sum(others) + rem[i]):
+                return  # (b)
+            if num * worst_den > worst_num * den:
+                worst_num, worst_den = num, den
         if j == m:
-            leaf()
+            best_num, best_den = worst_num, worst_den
             return
+        col = cols[j]
+        for i in range(n):
+            rem[i] -= col[i]
         for a in range(n):
-            w = rows[a][j]
+            w = col[a]
             for i in range(n):
-                cross[i][a] += rows[i][j]
+                cross[i][a] += col[i]
             saved_min = minv[a]
             if cnt[a] == 0 or w < saved_min:
                 minv[a] = w
@@ -116,20 +141,20 @@ def best_efx_factor(inst: Instance, budget: int = DEFAULT_ORACLE_BUDGET):
             cnt[a] -= 1
             minv[a] = saved_min
             for i in range(n):
-                cross[i][a] -= rows[i][j]
+                cross[i][a] -= col[i]
+        for i in range(n):
+            rem[i] += col[i]
 
     dfs(0)
-    if best is None:
+    if best_den == 0:
         return INFINITE
-    return best
+    return Fraction(best_num, best_den)
 
 
 def pef1_mpb_exists(inst: Instance, budget: int = DEFAULT_ORACLE_BUDGET) -> bool:
     """True iff some complete allocation admits prices under which it is
     an MPB allocation and pEF1 (same feasibility routine as the solver's
     search, exercised exhaustively)."""
-    from .pipelines import search_pef1_mpb
-
     return search_pef1_mpb(inst, budget) is not None
 
 

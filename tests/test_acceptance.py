@@ -139,6 +139,7 @@ def test_criterion_5_framework_soundness():
 
 
 def test_criterion_6_oracle_cross_validation():
+    t0 = time.perf_counter()
     worst = Fraction(0)
     for inst in corpus_2efx():
         best = best_efx_factor(inst)
@@ -146,8 +147,9 @@ def test_criterion_6_oracle_cross_validation():
         res = solve_2efx(inst)
         assert best <= efx_factor(inst, res.x)
         worst = max(worst, best)
+    elapsed = time.perf_counter() - t0
     print(f"PASS criterion 6: oracle best factor <= solver factor <= 2 "
-          f"on 500 instances, max oracle factor {worst}")
+          f"on 500 instances, max oracle factor {worst}, {elapsed:.1f}s")
 
 
 def test_criterion_7_checker_algebra():

@@ -5,8 +5,11 @@ from fractions import Fraction
 import pytest
 
 from choreswap import (
+    INFINITE,
+    Allocation,
     EnumerationCursor,
     FriendlyCertificate,
+    Instance,
     best_efx_factor,
     enumerate_allocations,
     generate_random,
@@ -18,8 +21,8 @@ from choreswap import (
     verify_trace,
 )
 from choreswap.errors import BudgetExceeded, GenerationBudgetExceeded, TraceMismatch
-from choreswap.model import UniformInt
-from choreswap.oracle import CertificateBounds, oracle_csv_row
+from choreswap.model import Bivalued, UniformInt
+from choreswap.oracle import CertificateBounds, _bundle_sum, _hat, oracle_csv_row
 from choreswap.pipelines import _round_robin_two_phase
 
 from conftest import inst_i1, make_instance
@@ -48,6 +51,44 @@ def test_best_efx_factor_examples():
 def test_best_efx_factor_budget():
     with pytest.raises(BudgetExceeded):
         best_efx_factor(inst_i1(), budget=4)
+
+
+def _unpruned_best_efx_factor(inst):
+    """Minimum factor over every allocation from EnumerationCursor, with
+    the oracle's own Fraction sums and no pruning."""
+    best = INFINITE
+    for alloc in enumerate_allocations(inst.n, inst.m):
+        bundles = alloc.bundles()
+        worst = Fraction(0)
+        for i in range(inst.n):
+            num = _hat(inst, i, bundles[i])
+            if num == 0:
+                continue
+            for h in range(inst.n):
+                if h == i:
+                    continue
+                den = _bundle_sum(inst, i, bundles[h])
+                worst = max(worst, INFINITE if den == 0 else num / den)
+        best = min(best, worst)
+    return best
+
+
+def test_best_efx_factor_matches_unpruned_enumeration():
+    # Bivalued rows give many tied ratios; fractional row factors keep the
+    # oracle's integer rescaling honest.
+    rng = random.Random(41)
+    m_max = {1: 8, 2: 8, 3: 6, 4: 5}
+    dists = [UniformInt(1, 20), Bivalued(Fraction(2)), Bivalued(Fraction(3))]
+    for trial in range(300):
+        n = rng.randint(1, 4)
+        m = rng.randint(1, m_max[n])
+        inst = generate_random(rng.randrange(1 << 30), n, m, rng.choice(dists))
+        if trial % 2:
+            scales = [Fraction(rng.randint(1, 9), rng.randint(1, 9)) for _ in range(n)]
+            inst = Instance(
+                tuple(tuple(v * s for v in row) for row, s in zip(inst.d, scales))
+            )
+        assert best_efx_factor(inst) == _unpruned_best_efx_factor(inst), (trial, inst.d)
 
 
 def test_pef1_mpb_exists_examples():
@@ -126,9 +167,6 @@ def test_verify_trace_rejects_forged_factor():
 
 def test_verify_trace_empty_nh():
     inst = make_instance([[1, 2], [2, 1]])
-    y = enumerate_allocations(2, 2)
-    from choreswap import Allocation, FriendlyCertificate
-
     alloc = Allocation(2, (0, 1))
     cert = FriendlyCertificate(Fraction(2), frozenset({0, 1}), frozenset(), False)
     x, trace = run_framework(inst, alloc, cert)
