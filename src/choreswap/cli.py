@@ -153,7 +153,7 @@ def _run_method(inst, method: str, args) -> SolveResult:
         rounded, violations = validate_rounded_er(inst, alloc, prices)
         if rounded is None:
             raise RoundedInputInvalid(violations)
-        return solve_4efx(inst, rounded)
+        return solve_4efx(inst, rounded, args.budget)
     raise ChoreSwapError(f"unknown method {method!r}")
 
 

@@ -10,6 +10,7 @@ friendly certificate, then delegates to the swap framework.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
@@ -85,15 +86,10 @@ class _Pef1Search:
             raise BudgetExceeded(f"{self.n}^{self.m} allocations exceed budget {budget}")
         self.rows = inst.integer_rows()
         n, m = self.n, self.m
-        self.ratio = [
-            [
-                [Fraction(self.rows[i][j], self.rows[k][j]) for j in range(m)]
-                for k in range(n)
-            ]
-            for i in range(n)
-        ]
         self.owners = [None] * m
-        self.cmin = [[None] * n for _ in range(n)]  # cmin[i][k]: min over X_k
+        # cmin[i][k]: least rows[i][j] / rows[k][j] over j in X_k, kept as
+        # the integer pair (rows[i][j], rows[k][j]); None while X_k is empty.
+        self.cmin = [[None] * n for _ in range(n)]
         self.sums = [0] * n
         self.maxv = [0] * n
         self.counts = [0] * n
@@ -108,7 +104,7 @@ class _Pef1Search:
                 continue
             for i in range(n):
                 if i != k:
-                    cons.append(RatioConstraint(k, i, self.cmin[i][k]))
+                    cons.append(RatioConstraint(k, i, Fraction(*self.cmin[i][k])))
         for i in range(n):
             a_i = self.sums[i] - self.maxv[i]
             if a_i <= 0:
@@ -151,21 +147,26 @@ class _Pef1Search:
             empties = sum(1 for c in self.counts if c == 0)
             if m - j < empties:
                 return
+        rows, cmin = self.rows, self.cmin
         for a in range(n):
-            saved = [self.cmin[i][a] for i in range(n)]
+            w = rows[a][j]
+            saved = [cmin[i][a] for i in range(n)]
             ok = True
             for i in range(n):
                 if i == a:
                     continue
-                r = self.ratio[i][a][j]
-                if saved[i] is None or r < saved[i]:
-                    self.cmin[i][a] = r
-                back = self.cmin[a][i]
-                if back is not None and self.cmin[i][a] * back < 1:
+                # Ratios are (num, den) pairs with den > 0, compared by
+                # cross-multiplication.
+                cur = saved[i]
+                w_i = rows[i][j]
+                if cur is None or w_i * cur[1] < cur[0] * w:
+                    cur = cmin[i][a] = (w_i, w)
+                back = cmin[a][i]
+                if back is not None and cur[0] * back[0] < cur[1] * back[1]:
                     ok = False
+                    break
             if ok:
                 self.owners[j] = a
-                w = self.rows[a][j]
                 self.sums[a] += w
                 om = self.maxv[a]
                 if w > om:
@@ -177,7 +178,7 @@ class _Pef1Search:
                 self.sums[a] -= w
                 self.owners[j] = None
             for i in range(n):
-                self.cmin[i][a] = saved[i]
+                cmin[i][a] = saved[i]
 
 
 def search_pef1_mpb(inst: Instance, budget: int = DEFAULT_BUDGET) -> Optional[Pef1Solution]:
@@ -187,65 +188,82 @@ def search_pef1_mpb(inst: Instance, budget: int = DEFAULT_BUDGET) -> Optional[Pe
 
 
 class _BivaluedSearch(_Pef1Search):
-    """pEF1+MPB search with prices restricted to {1, k} on a {1,k}-valued
-    instance. Generic MPB pruning stays sound: a {1,k}-priced solution is
-    in particular an unrestricted one."""
+    """pEF1+MPB search with prices restricted to {1, k} on an instance whose
+    values are all 1 or k (k >= 1). Generic MPB pruning stays sound: a
+    {1,k}-priced solution is in particular an unrestricted one.
+
+    The leaf check is integer-only. For k > 1, every ratio d/p with d and p
+    in {1, k} is k^e with e = [d = k] - [p = k] in {-1, 0, 1}, and k^e
+    orders as e does, so agent a is MPB iff every chore in its bundle has
+    a's least exponent over all chores. Agent a's MPB bundle has one
+    ratio, so its prices are all 1, all k, or (when a values it at both 1
+    and k) equal to a's values; those are the per-agent options, tried in
+    `itertools.product` order. Earnings are counted in units of
+    1/k.denominator: price 1 is k.denominator and price k is k.numerator.
+    Both are positive integers, so sums and the pEF1 comparisons are exact
+    on that common scale. With k = 1 every ratio is 1 and every price is 1.
+    """
 
     def __init__(self, inst: Instance, k: Fraction, budget: int):
         super().__init__(inst, budget)
         self.k = k
+        self.flat = k == 1
+        self.unit, self.k_units = k.denominator, k.numerator
+        # high[a][j] = [d[a][j] = k], for k > 1 (all 0 when k = 1).
+        self.high = [[int(v != 1) for v in row] for row in inst.d]
 
     def leaf_check(self):
-        inst, n, m, k = self.inst, self.n, self.m, self.k
-        one = Fraction(1)
-        options = []  # per agent: list of candidate in-bundle price maps
+        n, m, high = self.n, self.m, self.high
+        unit, k_units = self.unit, self.k_units
         bundles = [[] for _ in range(n)]
         for j, o in enumerate(self.owners):
             bundles[o].append(j)
-        for a in range(n):
-            if not bundles[a]:
-                options.append([{}])
+        # Per agent: (in-bundle exponent, earning, top price, chores priced k).
+        options = []
+        for a, b in enumerate(bundles):
+            size = len(b)
+            if not size:
+                options.append([(None, 0, 0, ())])
                 continue
-            vals = {inst.d[a][j] for j in bundles[a]}
-            if k == 1:
-                options.append([{j: one for j in bundles[a]}])
-            elif len(vals) == 2:
-                options.append([{j: inst.d[a][j] for j in bundles[a]}])
+            n_high = sum(high[a][j] for j in b)
+            if self.flat:
+                options.append([(0, size * unit, unit, ())])
+            elif 0 < n_high < size:
+                earn = n_high * k_units + (size - n_high) * unit
+                options.append([(0, earn, k_units, tuple(j for j in b if high[a][j]))])
             else:
+                e = high[a][b[0]]
                 options.append(
                     [
-                        {j: one for j in bundles[a]},
-                        {j: k for j in bundles[a]},
+                        (e, size * unit, unit, ()),
+                        (e - 1, size * k_units, k_units, tuple(b)),
                     ]
                 )
         for combo in itertools.product(*options):
-            prices = [None] * m
-            for part in combo:
-                for j, v in part.items():
-                    prices[j] = v
-            if not self._mpb_and_pef1(bundles, prices):
+            if not _is_pef1(combo):
                 continue
-            return tuple(prices)
+            priced_k = [0] * m
+            for _, _, _, chores in combo:
+                for j in chores:
+                    priced_k[j] = 1
+            if all(
+                e is None or min(map(operator.sub, high[a], priced_k)) == e
+                for a, (e, _, _, _) in enumerate(combo)
+            ):
+                k, one = self.k, Fraction(1)
+                return tuple(k if f else one for f in priced_k)
         return None
 
-    def _mpb_and_pef1(self, bundles, prices) -> bool:
-        inst, n = self.inst, self.n
-        for a in range(n):
-            row = inst.d[a]
-            alpha = min(row[j] / prices[j] for j in range(inst.m))
-            for j in bundles[a]:
-                if row[j] / prices[j] != alpha:
-                    return False
-        earn = [sum((prices[j] for j in b), Fraction(0)) for b in bundles]
-        top = [max((prices[j] for j in b), default=Fraction(0)) for b in bundles]
-        for i in range(n):
-            a_i = earn[i] - top[i]
-            if a_i == 0:
-                continue
-            for h in range(n):
-                if h != i and a_i > earn[h]:
-                    return False
-        return True
+
+def _is_pef1(combo) -> bool:
+    """pEF1 on integer earnings: no agent's earning without its top price
+    exceeds another agent's earning."""
+    earn = [o[1] for o in combo]
+    for i, (_, e_i, top, _) in enumerate(combo):
+        rest = e_i - top
+        if rest and any(rest > e_h for h, e_h in enumerate(earn) if h != i):
+            return False
+    return True
 
 
 def certificate_from_pef1(
@@ -333,6 +351,20 @@ def _bivalued_candidate(
     return SolveResult(x, trace, "bivalued", cert=cert, prices=prices, notes=notes)
 
 
+def _bivalued_starts(norm: Instance, k: Fraction, budget: int):
+    """Starting points for solve_bivalued, each with the notes it carries:
+    the {1,k}-priced pEF1+MPB solutions in lexicographic order or, when
+    there is none, the unrestricted ones."""
+    found = False
+    for sol in _BivaluedSearch(norm, k, budget).iter_solutions():
+        found = True
+        yield [], sol
+    if not found:
+        fallback = ["no {1,k}-priced pEF1+MPB solution; unrestricted fallback"]
+        for sol in _Pef1Search(norm, budget).iter_solutions():
+            yield fallback, sol
+
+
 def solve_bivalued(
     inst: Instance, budget: int = DEFAULT_BUDGET, candidate_cap: int = 5000
 ) -> SolveResult:
@@ -350,32 +382,22 @@ def solve_bivalued(
     lo = min(v for row in inst.d for v in row) if inst.m else Fraction(1)
     norm = Instance(tuple(tuple(v / lo for v in row) for row in inst.d))
     lam = 2 - 1 / k
-    notes: List[str] = []
-    any_candidate = False
     tried = 0
-    for sol in _BivaluedSearch(norm, k, budget).iter_solutions():
-        any_candidate = True
+    for notes, sol in _bivalued_starts(norm, k, budget):
         tried += 1
         if tried > candidate_cap:
             break
+        if tried > 1:
+            notes = notes + [
+                f"skipped {tried - 1} starting points that lost the MPB condition"
+            ]
         res = _bivalued_candidate(norm, k, lam, sol, notes)
         if res is not None:
             return res
-        notes = [f"skipped {tried} starting points that lost the MPB condition"]
-    if not any_candidate:
-        notes.append("no {1,k}-priced pEF1+MPB solution; unrestricted fallback")
-        for sol in _Pef1Search(norm, budget).iter_solutions():
-            any_candidate = True
-            tried += 1
-            if tried > candidate_cap:
-                break
-            res = _bivalued_candidate(norm, k, lam, sol, notes)
-            if res is not None:
-                return res
     raise PostconditionViolated(
         "no pEF1+MPB starting point yields a PO outcome within budget "
         f"(tried {tried}; existence finding)"
-        if any_candidate
+        if tried
         else "no pEF1+MPB allocation found within budget (existence finding)"
     )
 
@@ -479,12 +501,15 @@ def validate_rounded_er(
     return ErRoundedInput(X, tuple(p), h_set), violations
 
 
-def solve_4efx(inst: Instance, rounded: ErRoundedInput) -> SolveResult:
+def solve_4efx(
+    inst: Instance, rounded: ErRoundedInput, budget: int = DEFAULT_BUDGET
+) -> SolveResult:
     """4-EFX from a validated rounded earning-restricted equilibrium.
 
     Re-allocates the high-priced chores with the small-m construction,
     couples the resulting bundles to agents so every multi-chore receiver
     keeps low earnings at most 1, and runs the framework at lambda = 4.
+    Trying more than `budget` of the n! couplings raises BudgetExceeded.
     """
     n, m = inst.n, inst.m
     if m <= 2 * n:
@@ -526,7 +551,9 @@ def solve_4efx(inst: Instance, rounded: ErRoundedInput) -> SolveResult:
 
     if not coupling_ok(z_bundles):
         found = None
-        for perm in itertools.permutations(range(n)):
+        for tried, perm in enumerate(itertools.permutations(range(n)), 1):
+            if tried > budget:
+                raise BudgetExceeded(f"more than {budget} couplings tried")
             cand = [z_bundles[perm[i]] for i in range(n)]
             if not coupling_ok(cand):
                 continue

@@ -1,3 +1,5 @@
+import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -6,8 +8,10 @@ from choreswap import (
     Allocation,
     Instance,
     efx_factor,
+    generate_random,
     is_alpha_efx,
     is_mpb_allocation,
+    is_pefk,
     is_po_bruteforce,
     search_pef1_mpb,
     solve_2efx,
@@ -17,13 +21,16 @@ from choreswap import (
     validate_certificate,
     validate_rounded_er,
 )
+from choreswap import pipelines
 from choreswap.errors import (
+    BudgetExceeded,
     InvariantViolation,
     NotBivalued,
     RoundedInputInvalid,
     TooManyChores,
 )
-from choreswap.pipelines import Pef1Solution, certificate_from_pef1
+from choreswap.model import Bivalued
+from choreswap.pipelines import Pef1Solution, _BivaluedSearch, certificate_from_pef1
 
 from conftest import (
     HALF,
@@ -131,6 +138,81 @@ def test_solve_bivalued_scaled_values():
     assert is_po_bruteforce(inst, res.x).is_po
 
 
+def _checker_bivalued_solutions(norm, k):
+    """The {1,k}-priced pEF1+MPB solutions by the public checkers, in the
+    search's order: owner vectors lexicographically (no empty bundle when
+    m >= n), each with the first passing per-agent price option combo."""
+    n, m = norm.n, norm.m
+    one = Fraction(1)
+    out = []
+    for owners in itertools.product(range(n), repeat=m):
+        x = Allocation(n, owners)
+        bundles = x.bundles()
+        if m >= n and not all(bundles):
+            continue
+        options = []
+        for a, b in enumerate(bundles):
+            values = {norm.d[a][j] for j in b}
+            if not b:
+                options.append([{}])
+            elif k == 1:
+                options.append([{j: one for j in b}])
+            elif len(values) == 2:
+                options.append([{j: norm.d[a][j] for j in b}])
+            else:
+                options.append([{j: one for j in b}, {j: k for j in b}])
+        for combo in itertools.product(*options):
+            prices = {j: price for part in combo for j, price in part.items()}
+            p = tuple(prices[j] for j in range(m))
+            if is_mpb_allocation(norm, x, p) and is_pefk(norm, x, p, Fraction(1), 1):
+                out.append((owners, p))
+                break
+    return out
+
+
+def test_bivalued_search_matches_checker_enumeration():
+    # k = 5/2 gives rows like {2, 5} after integer rescaling, so the leaf's
+    # earning scale and the DFS ratio pairs meet a non-integer k.
+    rng = random.Random(53)
+    ks = [Fraction(1), Fraction(2), Fraction(3), Fraction(5, 2)]
+    for trial in range(200):
+        n = rng.randint(1, 3)
+        m = rng.randint(0, 6)
+        inst = generate_random(rng.randrange(1 << 30), n, m, Bivalued(rng.choice(ks)))
+        # Normalize as solve_bivalued does: least value 1.
+        lo = min((v for row in inst.d for v in row), default=Fraction(1))
+        norm = inst.scale_rows([1 / lo] * n)
+        k = norm.bivalued_k()
+        found = [
+            (sol.x.owners, sol.p)
+            for sol in _BivaluedSearch(norm, k, 10**6).iter_solutions()
+        ]
+        assert found == _checker_bivalued_solutions(norm, k), (trial, norm.d)
+
+
+def test_solve_bivalued_unrestricted_fallback(monkeypatch):
+    # No {1,k}-priced start, and the first unrestricted start is rejected,
+    # so the fallback runs through the same loop and notes as the main path.
+    inst = make_instance([[1, 1, 2], [1, 1, 2]])
+    monkeypatch.setattr(_BivaluedSearch, "iter_solutions", lambda self: iter(()))
+    candidate = pipelines._bivalued_candidate
+    calls = []
+
+    def lose_first(*args):
+        calls.append(args)
+        return None if len(calls) == 1 else candidate(*args)
+
+    monkeypatch.setattr(pipelines, "_bivalued_candidate", lose_first)
+    res = solve_bivalued(inst)
+    assert res.notes[:2] == [
+        "no {1,k}-priced pEF1+MPB solution; unrestricted fallback",
+        "skipped 1 starting points that lost the MPB condition",
+    ]
+    assert efx_factor(inst, res.x) <= Fraction(3, 2)
+    assert is_mpb_allocation(inst, res.x, res.prices)
+    assert is_po_bruteforce(inst, res.x).is_po
+
+
 def test_solve_bivalued_rejects_three_values():
     with pytest.raises(NotBivalued):
         solve_bivalued(make_instance([[1, 2, 3], [1, 2, 3]]))
@@ -221,3 +303,13 @@ def test_solve_4efx_fixture_corpus():
         assert violations == [], (seed, violations)
         res = solve_4efx(inst, rounded)
         assert efx_factor(inst, res.x) <= 4, seed
+
+
+def test_solve_4efx_coupling_budget():
+    # The small-m bundles of this fixture fail the first (identity) coupling.
+    inst, x, p = rounded_fixture(3, [0, 2, 2], [3, 1, 1])
+    rounded, violations = validate_rounded_er(inst, x, p)
+    assert violations == []
+    assert solve_4efx(inst, rounded).notes == ["re-coupled high-chore bundles"]
+    with pytest.raises(BudgetExceeded):
+        solve_4efx(inst, rounded, budget=1)
