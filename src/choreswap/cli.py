@@ -42,6 +42,7 @@ from .market import is_mpb_allocation
 from .model import (
     INFINITE,
     Allocation,
+    data_tokens,
     generate_random,
     parse_allocation,
     parse_distribution,
@@ -94,13 +95,8 @@ def render_factor(x) -> str:
 def parse_nh_file(text: str, n: int) -> frozenset:
     """Certificate companion file: space-separated 1-based agent indices
     forming N_H; blank or comment-only means N_H is empty."""
-    toks = []
-    for ln in text.splitlines():
-        ln = ln.strip()
-        if ln and not ln.startswith("#"):
-            toks.extend(ln.split())
     nh = set()
-    for tok in toks:
+    for tok in data_tokens(text):
         v = int(tok)
         if not 1 <= v <= n:
             raise ChoreSwapError(f"agent index {v} out of range 1..{n}")
@@ -141,12 +137,7 @@ def _run_method(inst, method: str, args) -> SolveResult:
     if method == "bivalued":
         return solve_bivalued(inst, args.budget)
     if method == "pef1":
-        res = solve_2efx(inst, args.budget)
-        if res is None:
-            raise PostconditionViolated(
-                "no pEF1+MPB allocation found within budget (existence finding)"
-            )
-        return res
+        return solve_2efx(inst, args.budget)
     if method == "er4":
         alloc = parse_allocation(Path(args.alloc).read_text(), inst.n, inst.m)
         prices = parse_prices(Path(args.prices).read_text(), inst.m)

@@ -82,7 +82,9 @@ _EXACT = (int, Fraction)
 @dataclass(frozen=True)
 class Instance:
     """A chore division instance: n agents, m chores, strictly positive
-    disutility matrix d (n rows, m columns) of ints or Fractions."""
+    disutility matrix d (n rows, m columns). Entries may be given as ints
+    or Fractions; ints are stored as Fractions, so every quotient of two
+    entries is exact."""
 
     d: tuple
 
@@ -90,21 +92,25 @@ class Instance:
         if len(self.d) < 1:
             raise MalformedHeader("instance needs at least one agent")
         m = len(self.d[0])
+        has_int = False
         for i, row in enumerate(self.d):
             if len(row) != m:
                 raise RowCountMismatch(f"row {i + 1} has {len(row)} entries, expected {m}")
             for j, v in enumerate(row):
-                # The type lookup keeps the common case cheap; bool is an int.
-                if type(v) not in _EXACT and (
-                    isinstance(v, bool) or not isinstance(v, _EXACT)
-                ):
-                    raise BadRational(
-                        f"d[{i + 1}][{j + 1}] = {v!r} is not an int or Fraction"
-                    )
+                # The type test keeps the common case cheap; bool is an int.
+                if type(v) is not Fraction:
+                    if isinstance(v, bool) or not isinstance(v, _EXACT):
+                        raise BadRational(
+                            f"d[{i + 1}][{j + 1}] = {v!r} is not an int or Fraction"
+                        )
+                    has_int = has_int or not isinstance(v, Fraction)
                 if v <= 0:
                     raise NonPositiveDisutility(
                         f"d[{i + 1}][{j + 1}] = {v} is not positive"
                     )
+        if has_int:
+            exact = tuple(tuple(Fraction(v) for v in row) for row in self.d)
+            object.__setattr__(self, "d", exact)
 
     @property
     def n(self) -> int:
@@ -243,11 +249,6 @@ class Allocation:
                 out[o].append(j)
         return out
 
-    def assign(self, chore: int, agent: int) -> "Allocation":
-        owners = list(self.owners)
-        owners[chore] = agent
-        return Allocation(self.n, tuple(owners))
-
 
 def allocation_from_bundles(n: int, m: int, bundles) -> Allocation:
     owners = [None] * m
@@ -257,13 +258,15 @@ def allocation_from_bundles(n: int, m: int, bundles) -> Allocation:
     return Allocation(n, tuple(owners))
 
 
+def data_tokens(text: str) -> list:
+    """Whitespace-separated tokens of every line that is not a '#' comment."""
+    lines = (ln for ln in text.splitlines() if not ln.lstrip().startswith("#"))
+    return [tok for ln in lines for tok in ln.split()]
+
+
 def parse_allocation(text: str, n: int, m: int) -> Allocation:
     """One line of m entries: agent index 1..n, or 0 for unassigned."""
-    toks = []
-    for lno, ln in enumerate(text.splitlines()):
-        ln = ln.strip()
-        if ln and not ln.startswith("#"):
-            toks.extend(ln.split())
+    toks = data_tokens(text)
     if len(toks) != m:
         raise RowCountMismatch(f"expected {m} owner entries, found {len(toks)}")
     owners = []
@@ -287,11 +290,7 @@ def serialize_allocation(alloc: Allocation) -> str:
 
 def parse_prices(text: str, m: int) -> tuple:
     """One line of m positive rationals."""
-    toks = []
-    for ln in text.splitlines():
-        ln = ln.strip()
-        if ln and not ln.startswith("#"):
-            toks.extend(ln.split())
+    toks = data_tokens(text)
     if len(toks) != m:
         raise RowCountMismatch(f"expected {m} prices, found {len(toks)}")
     prices = []

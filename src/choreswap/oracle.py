@@ -25,7 +25,6 @@ from .errors import (
     TraceMismatch,
 )
 from .framework import FriendlyCertificate, SwapTrace
-from .market import mpb_price_feasibility  # noqa: F401 (re-exported oracle aid)
 from .model import INFINITE, Allocation, Instance, allocation_from_bundles
 from .pipelines import search_pef1_mpb
 
@@ -369,7 +368,3 @@ def verify_trace(
         ok = False
     return ok
 
-
-def oracle_csv_row(instance_id: str, metric: str, value) -> str:
-    """One `instance-id,metric,value` line for oracle reports."""
-    return f"{instance_id},{metric},{value}"

@@ -38,20 +38,20 @@ from .market import (
     RatioConstraintSystem,
     is_mpb_allocation,
     mpb_price_feasibility,
-    mpb_view,
     solve_ratio_system,
 )
 from .model import Allocation, Instance, allocation_from_bundles
 
+NO_PEF1_MPB = "no pEF1+MPB allocation found within budget (existence finding)"
+CANDIDATE_CAP = 5000
+
 
 @dataclass(frozen=True)
 class Pef1Solution:
-    """An integral MPB allocation that is price-EF1, with its prices and
-    the least earner's income rho."""
+    """An integral MPB allocation that is price-EF1, with its prices."""
 
     x: Allocation
     p: tuple
-    rho: Fraction
 
 
 @dataclass
@@ -123,18 +123,10 @@ class _Pef1Search:
             prices[j] = self.rows[owner][j] * res[owner]
         return tuple(prices)
 
-    def search(self):
-        return next(self.iter_solutions(), None)
-
     def iter_solutions(self):
         """All feasible solutions in owner-vector lexicographic order."""
         for owners, prices in self._dfs(0):
-            x = Allocation(self.n, owners)
-            earnings = {}
-            for j, o in enumerate(owners):
-                earnings[o] = earnings.get(o, Fraction(0)) + prices[j]
-            rho = min(earnings.values()) if earnings else Fraction(0)
-            yield Pef1Solution(x, prices, rho)
+            yield Pef1Solution(Allocation(self.n, owners), prices)
 
     def _dfs(self, j: int):
         n, m = self.n, self.m
@@ -184,7 +176,7 @@ class _Pef1Search:
 def search_pef1_mpb(inst: Instance, budget: int = DEFAULT_BUDGET) -> Optional[Pef1Solution]:
     """First complete allocation, in owner-vector lexicographic order, that
     admits prices making it an MPB allocation that is pEF1."""
-    return _Pef1Search(inst, budget).search()
+    return next(_Pef1Search(inst, budget).iter_solutions(), None)
 
 
 class _BivaluedSearch(_Pef1Search):
@@ -266,46 +258,46 @@ def _is_pef1(combo) -> bool:
     return True
 
 
-def certificate_from_pef1(
-    inst: Instance, sol: Pef1Solution
-) -> Tuple[Instance, FriendlyCertificate]:
-    """Rescale disutilities to prices and split agents by whether their
-    highest-priced chore exceeds the least earner's income. Yields a valid
-    strict certificate with lambda = 2."""
+def _price_split(sol: Pef1Solution) -> Tuple[Fraction, List[Fraction]]:
+    """The least earning rho and, per bundle, its highest price. Both
+    certificate rules put an agent in N_H by comparing the two."""
+    bundles = sol.x.bundles()
+    rho = min(sum((sol.p[j] for j in b), Fraction(0)) for b in bundles)
+    return rho, [max(sol.p[j] for j in b) for b in bundles]
+
+
+def certificate_from_pef1(inst: Instance, sol: Pef1Solution) -> FriendlyCertificate:
+    """Split agents by whether their highest-priced chore exceeds the least
+    earner's income. Yields a valid strict certificate with lambda = 2.
+
+    The certificate holds for `inst` as given: every certificate
+    inequality compares one agent's own values, so scaling a row (as by
+    1/alpha_i, which turns MPB values into prices) changes none of them.
+    """
     if not is_mpb_allocation(inst, sol.x, sol.p):
         raise InvariantViolation("solution is not an MPB allocation")
     if not is_pefk(inst, sol.x, sol.p, Fraction(1), 1):
         raise InvariantViolation("solution is not pEF1")
-    view = mpb_view(inst, sol.p)
-    scaled = inst.scale_rows([1 / a for a in view.alpha])
-    bundles = sol.x.bundles()
-    earnings = [sum((sol.p[j] for j in b), Fraction(0)) for b in bundles]
-    rho = min(earnings)
-    n0, nh = set(), set()
-    for i, b in enumerate(bundles):
-        j_i = min(b, key=lambda j: (-sol.p[j], j))
-        if sol.p[j_i] <= rho:
-            n0.add(i)
-        else:
-            nh.add(i)
-    cert = FriendlyCertificate(Fraction(2), frozenset(n0), frozenset(nh), weak=False)
-    return scaled, cert
+    rho, top = _price_split(sol)
+    nh = frozenset(i for i, t in enumerate(top) if t > rho)
+    return FriendlyCertificate(Fraction(2), frozenset(range(inst.n)) - nh, nh, weak=False)
 
 
-def solve_2efx(inst: Instance, budget: int = DEFAULT_BUDGET) -> Optional[SolveResult]:
+def solve_2efx(inst: Instance, budget: int = DEFAULT_BUDGET) -> SolveResult:
     """pEF1+MPB search, certificate construction, swap framework. The
-    output is always verified 2-EFX; None only when the search finds no
-    pEF1+MPB allocation (which would itself be a reportable finding)."""
+    output is always verified 2-EFX. A search that finds no pEF1+MPB
+    allocation raises PostconditionViolated: that would itself be a
+    reportable finding."""
     sol = search_pef1_mpb(inst, budget)
     if sol is None:
-        return None
+        raise PostconditionViolated(NO_PEF1_MPB)
     if any(not b for b in sol.x.bundles()):
         # Only reachable when m < n: the pEF1 prices force singleton
         # bundles, which are exactly EFX already.
         trace = _trivial_trace(inst, sol.x, Fraction(2), "strict")
         return SolveResult(sol.x, trace, "pef1", prices=sol.p, notes=["m<n singleton"])
-    scaled, cert = certificate_from_pef1(inst, sol)
-    x, trace = run_framework(scaled, sol.x, cert)
+    cert = certificate_from_pef1(inst, sol)
+    x, trace = run_framework(inst, sol.x, cert)
     return SolveResult(x, trace, "pef1", cert=cert, prices=sol.p)
 
 
@@ -320,21 +312,16 @@ def _bivalued_candidate(
         return SolveResult(
             sol.x, trace, "bivalued", prices=sol.p, notes=notes + ["early-exit"]
         )
-    view = mpb_view(norm, sol.p)
-    scaled = norm.scale_rows([1 / a for a in view.alpha])
-    bundles = sol.x.bundles()
-    earnings = [sum((sol.p[j] for j in b), Fraction(0)) for b in bundles]
-    rho = min(earnings)
+    rho, top = _price_split(sol)
     if not rho < k:
         raise RhoNotLessThanK(
             f"least earning {rho} >= k = {k} contradicts the bivalued derivation"
         )
-    n0, nh = set(), set()
-    for i, b in enumerate(bundles):
-        j_i = min(b, key=lambda j: (-sol.p[j], j))
-        (n0 if sol.p[j_i] < k else nh).add(i)
-    cert = FriendlyCertificate(lam, frozenset(n0), frozenset(nh), weak=True)
-    x, trace = run_framework(scaled, sol.x, cert)
+    # Unlike the pEF1 rule, compare with k: unrestricted fallback prices
+    # need not lie in {1, k}.
+    nh = frozenset(i for i, t in enumerate(top) if t >= k)
+    cert = FriendlyCertificate(lam, frozenset(range(norm.n)) - nh, nh, weak=True)
+    x, trace = run_framework(norm, sol.x, cert)
     prices = sol.p
     steps = [trace.phase1]
     for swap in trace.swaps:
@@ -365,16 +352,16 @@ def _bivalued_starts(norm: Instance, k: Fraction, budget: int):
             yield fallback, sol
 
 
-def solve_bivalued(
-    inst: Instance, budget: int = DEFAULT_BUDGET, candidate_cap: int = 5000
-) -> SolveResult:
+def solve_bivalued(inst: Instance, budget: int = DEFAULT_BUDGET) -> SolveResult:
     """(2 - 1/k)-EFX + PO for {1,k}-valued instances, carrying an MPB price
     certificate for the final allocation.
 
     pEF1+MPB starting points are tried in lexicographic order until one
     survives the swap framework with Pareto optimality intact; any valid
     starting point gives the EFX factor, but the round-robin tie-breaks
-    can lose the MPB property for some of them.
+    can lose the MPB property for some of them. When none of the first
+    CANDIDATE_CAP starting points survives, or there is none, it raises
+    PostconditionViolated.
     """
     k = inst.bivalued_k()
     if k is None:
@@ -385,7 +372,7 @@ def solve_bivalued(
     tried = 0
     for notes, sol in _bivalued_starts(norm, k, budget):
         tried += 1
-        if tried > candidate_cap:
+        if tried > CANDIDATE_CAP:
             break
         if tried > 1:
             notes = notes + [
@@ -396,29 +383,23 @@ def solve_bivalued(
             return res
     raise PostconditionViolated(
         "no pEF1+MPB starting point yields a PO outcome within budget "
-        f"(tried {tried}; existence finding)"
-        if tried
-        else "no pEF1+MPB allocation found within budget (existence finding)"
+        f"(tried {tried}; existence finding)" if tried else NO_PEF1_MPB
     )
 
 
 def _round_robin_two_phase(inst: Instance) -> Allocation:
-    """Phase A: agents r..1 pick their cheapest chore; Phase B: agents 1..n
-    pick again. Ties to the lowest chore index."""
+    """Phase A: agents r..1 (r = m - n) pick their cheapest chore; Phase B:
+    agents 1..n pick again, while chores remain. Ties to the lowest chore index. With
+    m <= n Phase A is empty and each agent gets at most one chore."""
     n, m = inst.n, inst.m
-    r = m - n
     pool = set(range(m))
     bundles = [set() for _ in range(n)]
-
-    def pick(i):
+    for i in [*range(m - n - 1, -1, -1), *range(n)]:
+        if not pool:
+            break
         j = min(pool, key=lambda c: (inst.d[i][c], c))
         pool.remove(j)
         bundles[i].add(j)
-
-    for i in range(r - 1, -1, -1):
-        pick(i)
-    for i in range(n):
-        pick(i)
     return allocation_from_bundles(n, m, bundles)
 
 
@@ -427,23 +408,11 @@ def solve_small_m(inst: Instance) -> SolveResult:
     n, m = inst.n, inst.m
     if m > 2 * n:
         raise TooManyChores(f"m = {m} exceeds 2n = {2 * n}")
-    if m <= n:
-        # Any assignment of at most one chore each is EFX; let agents pick
-        # their cheapest remaining chore in index order.
-        pool = set(range(m))
-        bundles = [set() for _ in range(n)]
-        for i in range(n):
-            if not pool:
-                break
-            j = min(pool, key=lambda c: (inst.d[i][c], c))
-            pool.remove(j)
-            bundles[i].add(j)
-        x = allocation_from_bundles(n, m, bundles)
-        return SolveResult(x, _trivial_trace(inst, x, Fraction(1), "weak"), "small-m")
     y = _round_robin_two_phase(inst)
-    cert = FriendlyCertificate(
-        Fraction(1), frozenset(), frozenset(range(n)), weak=True
-    )
+    if m <= n:
+        # At most one chore each: EFX already, with no framework run.
+        return SolveResult(y, _trivial_trace(inst, y, Fraction(1), "weak"), "small-m")
+    cert = FriendlyCertificate(Fraction(1), frozenset(), frozenset(range(n)), weak=True)
     x, trace = run_framework(inst, y, cert)
     return SolveResult(x, trace, "small-m", cert=cert)
 

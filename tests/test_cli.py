@@ -2,6 +2,7 @@ import re
 
 import pytest
 
+from choreswap import pipelines
 from choreswap.cli import CSV_HEADER, main, render_decimal
 from fractions import Fraction
 
@@ -72,6 +73,17 @@ def test_solve_pef1_i1_with_outputs(tmp_path, capsys):
     assert fields[2] == "1/10" and fields[6] == "po"
     assert (tmp_path / "i1.alloc").read_text() == "1 1 2\n"
     assert (tmp_path / "i1.trace").read_text().strip().endswith("FACTOR 1/10")
+
+
+def test_solve_pef1_without_start_is_a_finding(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(pipelines._Pef1Search, "iter_solutions", lambda self: iter(()))
+    inst = write(tmp_path, "i1.txt", I1)
+    assert main(["solve", inst, "--method", "pef1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "solve: no pEF1+MPB allocation found within budget (existence finding)\n"
+    )
 
 
 def test_solve_auto_picks_small_m(tmp_path, capsys):

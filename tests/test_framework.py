@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -8,6 +9,7 @@ from choreswap import (
     chore_swap,
     designated_chore,
     efx_factor,
+    generate_random,
     generate_valid_certificate,
     run_framework,
     validate_certificate,
@@ -16,8 +18,10 @@ from choreswap.errors import (
     CertificateInvalid,
     ChoreNotHeld,
     EmptyBundle,
+    PostconditionViolated,
     SelfSwap,
 )
+from choreswap.model import UniformInt
 from choreswap.oracle import CertificateBounds
 
 from conftest import inst_i1, inst_i3, make_instance
@@ -130,3 +134,57 @@ def test_trace_log_shape():
     for ln in lines[:-1]:
         assert ln.split()[0] in ("PICK", "SWAP", "INV")
     assert lines[-1].startswith("FACTOR ")
+
+
+def _row_scale_cases(rng):
+    """Valid generated triples, the same triples with one agent moved
+    across the partition or lambda cut, and random triples."""
+    lams = CertificateBounds().lams
+    for seed in range(300):
+        inst, y, c = generate_valid_certificate(seed, CertificateBounds(n_max=4, m_max=7))
+        yield inst, y, c
+        i = rng.randrange(inst.n)
+        nh = c.nh ^ {i}
+        lam = rng.choice(lams)
+        yield inst, y, FriendlyCertificate(lam, frozenset(range(inst.n)) - nh, nh, c.weak)
+    for _ in range(300):
+        n = rng.randint(1, 4)
+        m = rng.randint(n, 8)
+        inst = generate_random(rng.randrange(1 << 30), n, m, UniformInt(1, 6))
+        owners = list(range(n)) + [rng.randrange(n) for _ in range(m - n)]
+        rng.shuffle(owners)
+        nh = frozenset(i for i in range(n) if rng.random() < 0.5)
+        c = FriendlyCertificate(
+            rng.choice(lams), frozenset(range(n)) - nh, nh, rng.random() < 0.5
+        )
+        yield inst, Allocation(n, tuple(owners)), c
+
+
+def _run_outcome(inst, y, c):
+    try:
+        x, trace = run_framework(inst, y, c)
+    except CertificateInvalid as e:
+        return [(v.condition, v.agent, v.other) for v in e.violations]
+    except PostconditionViolated as e:
+        return e.trace.to_log()
+    return x.owners, trace.to_log()
+
+
+def test_certificate_and_run_are_row_scale_invariant():
+    # Every certificate inequality and framework step compares one agent's
+    # own values, so the pipelines may skip rescaling rows to prices.
+    rng = random.Random(2718)
+    valid = 0
+    for inst, y, c in _row_scale_cases(rng):
+        scaled = inst.scale_rows(
+            [Fraction(rng.randint(1, 60), rng.randint(1, 60)) for _ in range(inst.n)]
+        )
+        for glob in (False, True):
+            before, after = (
+                [(v.condition, v.agent, v.other) for v in validate_certificate(a, y, c, glob)]
+                for a in (inst, scaled)
+            )
+            assert before == after, (inst.d, y, c)
+        valid += not before
+        assert _run_outcome(inst, y, c) == _run_outcome(scaled, y, c), (inst.d, y, c)
+    assert 300 <= valid < 900

@@ -7,6 +7,9 @@ from choreswap import (
     Allocation,
     Instance,
     bundle_disutility,
+    efx_factor,
+    is_mpb_allocation,
+    solve_bivalued,
     generate_random,
     parse_allocation,
     parse_distribution,
@@ -176,3 +179,19 @@ def test_instance_validation():
 def test_allocation_validation():
     with pytest.raises(AgentOutOfRange):
         Allocation(2, (0, 5))
+
+
+def test_int_entries_are_stored_exactly():
+    # Fraction input is kept as given; ints become Fractions, so quotients
+    # of entries (MPB ratios, bivalued normalization, k) stay exact.
+    rows = ((Fraction(1), Fraction(2)),)
+    assert Instance(rows).d is rows
+    inst = Instance(((1, 2, 2), (2, 1, 1)))
+    assert all(type(v) is Fraction for row in inst.d for v in row)
+    k = inst.bivalued_k()
+    assert k == 2 and type(k) is Fraction
+    res = solve_bivalued(inst)
+    assert efx_factor(inst, res.x) <= Fraction(3, 2)
+    assert is_mpb_allocation(inst, res.x, res.prices)
+    big = Instance(((10**17 + 1, 10**17),))
+    assert not is_mpb_allocation(big, Allocation(1, (0, 0)), (1, 1))

@@ -22,7 +22,7 @@ from choreswap import (
 )
 from choreswap.errors import BudgetExceeded, GenerationBudgetExceeded, TraceMismatch
 from choreswap.model import Bivalued, UniformInt
-from choreswap.oracle import CertificateBounds, _bundle_sum, _hat, oracle_csv_row
+from choreswap.oracle import CertificateBounds, _bundle_sum, _hat
 from choreswap.pipelines import _round_robin_two_phase
 
 from conftest import inst_i1, make_instance
@@ -185,8 +185,3 @@ def test_oracle_solver_agreement_sample():
         assert best <= 2
         assert best <= res.trace.final_factor
 
-
-def test_oracle_csv_row():
-    assert oracle_csv_row("i1.txt", "best_efx_factor", Fraction(1, 10)) == (
-        "i1.txt,best_efx_factor,1/10"
-    )

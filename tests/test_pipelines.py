@@ -26,6 +26,7 @@ from choreswap.errors import (
     BudgetExceeded,
     InvariantViolation,
     NotBivalued,
+    PostconditionViolated,
     RoundedInputInvalid,
     TooManyChores,
 )
@@ -46,7 +47,6 @@ def test_search_pef1_mpb_i1_golden():
     sol = search_pef1_mpb(inst_i1())
     assert sol.x.owners == (0, 0, 1)
     assert sol.p == (Fraction(1), Fraction(1), Fraction(10))
-    assert sol.rho == 2
 
 
 def test_search_pef1_mpb_single_agent():
@@ -58,39 +58,31 @@ def test_search_pef1_mpb_single_agent():
 
 def test_certificate_from_pef1_i1():
     inst = inst_i1()
-    sol = Pef1Solution(
-        Allocation(2, (0, 0, 1)),
-        (Fraction(1), Fraction(1), Fraction(10)),
-        Fraction(2),
-    )
-    scaled, cert = certificate_from_pef1(inst, sol)
+    sol = Pef1Solution(Allocation(2, (0, 0, 1)), (Fraction(1), Fraction(1), Fraction(10)))
+    cert = certificate_from_pef1(inst, sol)
     assert cert.lam == 2 and not cert.weak
     assert cert.n0 == frozenset({0}) and cert.nh == frozenset({1})
-    assert validate_certificate(scaled, sol.x, cert) == []
+    assert validate_certificate(inst, sol.x, cert) == []
 
 
 def test_certificate_from_pef1_all_n0():
     inst = make_instance([[2, 2, 3], [2, 2, 3]])
-    sol = Pef1Solution(
-        Allocation(2, (1, 1, 0)),
-        (Fraction(2), Fraction(2), Fraction(3)),
-        Fraction(3),
-    )
-    scaled, cert = certificate_from_pef1(inst, sol)
+    sol = Pef1Solution(Allocation(2, (1, 1, 0)), (Fraction(2), Fraction(2), Fraction(3)))
+    cert = certificate_from_pef1(inst, sol)
     assert cert.nh == frozenset()
-    assert validate_certificate(scaled, sol.x, cert) == []
+    assert validate_certificate(inst, sol.x, cert) == []
 
 
 def test_certificate_from_pef1_singletons():
     inst = make_instance([[1, 5], [5, 1]])
-    sol = Pef1Solution(Allocation(2, (0, 1)), (Fraction(1), Fraction(1)), Fraction(1))
-    _, cert = certificate_from_pef1(inst, sol)
+    sol = Pef1Solution(Allocation(2, (0, 1)), (Fraction(1), Fraction(1)))
+    cert = certificate_from_pef1(inst, sol)
     assert cert.nh == frozenset()
 
 
 def test_certificate_from_pef1_rejects_bad_solution():
     inst = make_instance([[1, 5], [5, 1]])
-    bad = Pef1Solution(Allocation(2, (1, 0)), (Fraction(1), Fraction(1)), Fraction(1))
+    bad = Pef1Solution(Allocation(2, (1, 0)), (Fraction(1), Fraction(1)))
     with pytest.raises(InvariantViolation):
         certificate_from_pef1(inst, bad)
 
@@ -112,8 +104,15 @@ def test_solve_2efx_single_agent():
 def test_solve_2efx_fewer_chores_than_agents():
     inst = make_instance([[3], [4], [5]])
     res = solve_2efx(inst)
-    assert res is not None
     assert efx_factor(inst, res.x) == 0
+
+
+def test_solve_2efx_raises_without_start(monkeypatch):
+    monkeypatch.setattr(pipelines._Pef1Search, "iter_solutions", lambda self: iter(()))
+    with pytest.raises(PostconditionViolated) as e:
+        solve_2efx(inst_i1())
+    assert str(e.value) == "no pEF1+MPB allocation found within budget (existence finding)"
+    assert e.value.trace is None
 
 
 def test_solve_bivalued_example():
