@@ -148,6 +148,14 @@ def _run_method(inst, method: str, args) -> SolveResult:
     raise ChoreSwapError(f"unknown method {method!r}")
 
 
+def _er4_inputs_missing(command: str, methods, args) -> bool:
+    """Print the usage error of an er4 run without its rounded input."""
+    if "er4" in methods and (args.alloc is None or args.prices is None):
+        print(f"{command}: error: --method er4 requires --alloc and --prices", file=sys.stderr)
+        return True
+    return False
+
+
 def cmd_gen(args) -> int:
     dist = parse_distribution(args.dist)
     for idx in range(args.count):
@@ -172,8 +180,7 @@ def cmd_solve(args) -> int:
     method = args.method
     if method == "auto":
         method = _pick_method(inst)
-    if method == "er4" and (args.alloc is None or args.prices is None):
-        print("solve: error: --method er4 requires --alloc and --prices", file=sys.stderr)
+    if _er4_inputs_missing("solve", [method], args):
         return EXIT_USAGE
     t0 = time.perf_counter()
     try:
@@ -276,6 +283,8 @@ def cmd_check(args) -> int:
 def cmd_bench(args) -> int:
     corpus = sorted(Path(args.corpus).glob("*.txt"))
     methods = [m.strip() for m in args.methods.split(",") if m.strip()]
+    if _er4_inputs_missing("bench", methods, args):
+        return EXIT_USAGE
     rows: List[str] = []
     worst = None
     swap_total = 0

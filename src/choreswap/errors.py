@@ -53,6 +53,10 @@ class PriceLengthMismatch(ChoreSwapError):
     pass
 
 
+class NonPositivePrice(ChoreSwapError):
+    pass
+
+
 class EmptyBundle(ChoreSwapError):
     def __init__(self, agent):
         super().__init__(f"agent {agent + 1} has an empty bundle")

@@ -11,8 +11,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Sequence, Union
 
-from .errors import EmptyBundle, PriceLengthMismatch
-from .model import Allocation, Instance
+from .errors import EmptyBundle, NonPositivePrice, PriceLengthMismatch
+from .model import Allocation, Instance, integer_row
 
 
 @dataclass(frozen=True)
@@ -22,23 +22,27 @@ class MpbView:
 
 
 def mpb_view(inst: Instance, p: Sequence[Fraction]) -> MpbView:
-    """Exact MPB ratios alpha_i = min_j d_ij / p_j and their argmin sets."""
+    """Exact MPB ratios alpha_i = min_j d_ij / p_j and their argmin sets,
+    compared as rows[i][j] * P[k] vs rows[i][k] * P[j] on positively
+    rescaled integer rows and prices (so prices must be positive)."""
     if len(p) != inst.m:
         raise PriceLengthMismatch(f"expected {inst.m} prices, got {len(p)}")
+    P = integer_row(p)  # same signs as p
+    if any(v <= 0 for v in P):
+        raise NonPositivePrice(f"prices must be positive, got {min(p)}")
     alphas = []
     sets = []
-    for i in range(inst.n):
-        row = inst.d[i]
-        best = None
+    for i, row in enumerate(inst.integer_rows()):
+        best = 0
         argmin = []
-        for j in range(inst.m):
-            r = row[j] / p[j]
-            if best is None or r < best:
-                best = r
+        for j, (r, q) in enumerate(zip(row, P)):
+            lhs, rhs = r * P[best], row[best] * q
+            if lhs < rhs:
+                best = j
                 argmin = [j]
-            elif r == best:
+            elif lhs == rhs:
                 argmin.append(j)
-        alphas.append(best)
+        alphas.append(inst.d[i][best] / p[best] if argmin else None)
         sets.append(frozenset(argmin))
     return MpbView(tuple(alphas), tuple(sets))
 
@@ -49,8 +53,6 @@ def is_mpb_allocation(inst: Instance, X: Allocation, p: Sequence[Fraction]) -> b
     A true result certifies that X is fPO (First Welfare Theorem). X may
     be partial; unassigned chores only shape the ratios.
     """
-    if len(p) != inst.m:
-        raise PriceLengthMismatch(f"expected {inst.m} prices, got {len(p)}")
     view = mpb_view(inst, p)
     for j, owner in enumerate(X.owners):
         if owner is not None and j not in view.mpb_sets[owner]:
@@ -94,47 +96,50 @@ class InfeasibilityCycle:
         return f"cycle product {self.product} < 1: {chain}"
 
 
+def ratio_labels(n: int, edges: Sequence[tuple]):
+    """Integer Bellman-Ford core for x_u <= (num/den) * x_v, one edge
+    (u, v, num, den) each, relaxed in the given order.
+
+    Labels are unreduced integer pairs (num, den), den > 0, compared by
+    cross-multiplication. Every label starts at 1 (a virtual source); a
+    pass that changes nothing ends the search, and a relaxation surviving
+    n passes exposes a cycle with product < 1, found through `pred`.
+    Returns (labels, None) or (None, indices of the cycle's edges).
+    """
+    num, den = [1] * n, [1] * n
+    pred: List[Optional[int]] = [None] * n
+    for rnd in range(n + 1):
+        changed = False
+        for idx, (u, v, a, b) in enumerate(edges):
+            if a * num[v] * den[u] < num[u] * b * den[v]:
+                pred[u] = idx
+                if rnd == n:
+                    # Walk predecessors n steps to land inside the cycle.
+                    for _ in range(n):
+                        u = edges[pred[u]][1]
+                    cycle, cur = [], u
+                    while not cycle or cur != u:
+                        cycle.append(pred[cur])
+                        cur = edges[pred[cur]][1]
+                    return None, cycle[::-1]
+                num[u], den[u] = a * num[v], b * den[v]
+                changed = True
+        if not changed:
+            break
+    return list(zip(num, den)), None
+
+
 def solve_ratio_system(
     sys: RatioConstraintSystem,
 ) -> Union[List[Fraction], InfeasibilityCycle]:
-    """Positive assignment satisfying every constraint, or a witness cycle.
-
-    Labels start at 1 (a virtual source) and relax multiplicatively in
-    deterministic (u, v) order; a relaxation surviving num_vars passes
-    exposes a cycle with product < 1.
-    """
-    n = sys.num_vars
+    """Positive assignment satisfying every constraint, or a witness cycle,
+    from `ratio_labels` over the constraints in sorted (u, v, c) order."""
     cons = sorted(sys.constraints, key=lambda c: (c.u, c.v, c.c))
-    labels = [Fraction(1)] * n
-    pred: List[Optional[RatioConstraint]] = [None] * n
-    for _ in range(n):
-        changed = False
-        for con in cons:
-            cand = con.c * labels[con.v]
-            if cand < labels[con.u]:
-                labels[con.u] = cand
-                pred[con.u] = con
-                changed = True
-        if not changed:
-            return labels
-    for con in cons:
-        if con.c * labels[con.v] < labels[con.u]:
-            pred[con.u] = con
-            # Walk predecessors n steps to land inside the cycle.
-            node = con.u
-            for _ in range(n):
-                node = pred[node].v
-            cycle = []
-            cur = node
-            while True:
-                edge = pred[cur]
-                cycle.append(edge)
-                cur = edge.v
-                if cur == node:
-                    break
-            cycle.reverse()
-            return InfeasibilityCycle(tuple(cycle))
-    return labels
+    edges = [(c.u, c.v, c.c.numerator, c.c.denominator) for c in cons]
+    labels, cycle = ratio_labels(sys.num_vars, edges)
+    if cycle is not None:
+        return InfeasibilityCycle(tuple(cons[idx] for idx in cycle))
+    return [Fraction(a, b) for a, b in labels]
 
 
 def mpb_constraints(inst: Instance, bundles) -> List[RatioConstraint]:

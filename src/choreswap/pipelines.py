@@ -34,11 +34,9 @@ from .fairness import (
 from .framework import FriendlyCertificate, SwapTrace, chore_swap, run_framework
 from .market import (
     InfeasibilityCycle,
-    RatioConstraint,
-    RatioConstraintSystem,
     is_mpb_allocation,
     mpb_price_feasibility,
-    solve_ratio_system,
+    ratio_labels,
 )
 from .model import Allocation, Instance, allocation_from_bundles
 
@@ -96,32 +94,36 @@ class _Pef1Search:
 
     def leaf_check(self):
         """Return prices (tuple of Fractions) if the current complete
-        allocation admits MPB + pEF1 prices, else None."""
-        n = self.n
-        cons = []
-        for k in range(n):
-            if self.counts[k] == 0:
-                continue
-            for i in range(n):
-                if i != k:
-                    cons.append(RatioConstraint(k, i, Fraction(*self.cmin[i][k])))
-        for i in range(n):
-            a_i = self.sums[i] - self.maxv[i]
-            if a_i <= 0:
-                continue
-            for h in range(n):
-                if h == i:
+        allocation admits MPB + pEF1 prices, else None.
+
+        With p_j = rows[o][j] * t_o, MPB is t_k <= cmin[i][k] * t_i and pEF1
+        is t_i <= sums[h] / (sums[i] - maxv[i]) * t_h, both integer pairs.
+        Each ordered pair keeps its smaller coefficient: in the full list,
+        sorted by (u, v, c), the smaller c relaxes first (or holds), after
+        which x_u <= c * x_v and the larger c never relaxes, in any pass.
+        """
+        n, cmin, sums, maxv = self.n, self.cmin, self.sums, self.maxv
+        edges = []
+        for u in range(n):
+            rest = sums[u] - maxv[u]
+            for v in range(n):
+                if v == u:
                     continue
-                if self.sums[h] == 0:
-                    return None
-                cons.append(RatioConstraint(i, h, Fraction(self.sums[h], a_i)))
-        res = solve_ratio_system(RatioConstraintSystem(n, tuple(cons)))
-        if isinstance(res, InfeasibilityCycle):
+                c = cmin[v][u]
+                if rest > 0:
+                    if sums[v] == 0:
+                        return None
+                    if c is None or sums[v] * c[1] < c[0] * rest:
+                        c = (sums[v], rest)
+                if c is not None:
+                    edges.append((u, v, *c))
+        labels, cycle = ratio_labels(n, edges)
+        if cycle is not None:
             return None
-        prices = [None] * self.m
-        for j, owner in enumerate(self.owners):
-            prices[j] = self.rows[owner][j] * res[owner]
-        return tuple(prices)
+        return tuple(
+            Fraction(self.rows[o][j] * labels[o][0], labels[o][1])
+            for j, o in enumerate(self.owners)
+        )
 
     def iter_solutions(self):
         """All feasible solutions in owner-vector lexicographic order."""

@@ -1,7 +1,12 @@
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import choreswap
 from choreswap import pipelines
 from choreswap.cli import CSV_HEADER, main, render_decimal
 from fractions import Fraction
@@ -97,6 +102,16 @@ def test_solve_er4_requires_companions(tmp_path, capsys):
     assert main(["solve", inst, "--method", "er4"]) == 1
 
 
+def test_bench_er4_requires_companions(tmp_path, capsys):
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    write(corpus, "i1.txt", I1)
+    assert main(["bench", str(corpus), "--methods", "auto,er4"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "bench: error: --method er4 requires --alloc and --prices\n"
+
+
 def test_solve_bivalued_on_nonbivalued_errors(tmp_path):
     inst = write(tmp_path, "bad.txt", "2 5\n1 2 3 4 5\n5 4 3 2 1\n")
     assert main(["solve", inst, "--method", "bivalued"]) == 1
@@ -187,3 +202,16 @@ def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         main(["solve"])
     assert exc.value.code == 1
+
+
+def test_python_m_choreswap_runs_gen(capsys):
+    args = ["gen", "--n", "2", "--m", "3", "--seed", "4", "--dist", "uniform-int:1..9"]
+    assert main(args) == 0
+    src = str(Path(choreswap.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    proc = subprocess.run(
+        [sys.executable, "-m", "choreswap", *args], capture_output=True, text=True, env=env
+    )
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout == capsys.readouterr().out

@@ -1,3 +1,4 @@
+import hashlib
 import random
 from fractions import Fraction
 
@@ -5,6 +6,7 @@ import pytest
 
 from choreswap import (
     Allocation,
+    Instance,
     InfeasibilityCycle,
     RatioConstraint,
     RatioConstraintSystem,
@@ -15,7 +17,7 @@ from choreswap import (
     mpb_view,
     solve_ratio_system,
 )
-from choreswap.errors import EmptyBundle, PriceLengthMismatch
+from choreswap.errors import EmptyBundle, NonPositivePrice, PriceLengthMismatch
 from choreswap.model import UniformInt
 
 from conftest import inst_i1, make_instance
@@ -40,6 +42,15 @@ def test_mpb_view_examples():
 def test_mpb_view_length_check():
     with pytest.raises(PriceLengthMismatch):
         mpb_view(inst_i1(), (Fraction(1),))
+
+
+@pytest.mark.parametrize("bad", [Fraction(0), Fraction(-1)])
+def test_non_positive_price_is_rejected(bad):
+    inst = Instance(((1, 2),))
+    with pytest.raises(NonPositivePrice):
+        is_mpb_allocation(inst, Allocation(1, (0, 0)), (bad, Fraction(1)))
+    with pytest.raises(NonPositivePrice):
+        mpb_view(inst, (Fraction(1), bad))
 
 
 def test_is_mpb_allocation_examples():
@@ -121,3 +132,66 @@ def test_deterministic_prices():
     inst = inst_i1()
     x = Allocation(2, (0, 0, 1))
     assert mpb_price_feasibility(inst, x) == mpb_price_feasibility(inst, x)
+
+
+# Labels or witness cycles of solve_ratio_system on 500 seeded systems,
+# computed with the Fraction Bellman-Ford the integer core replaced.
+RATIO_SYSTEM_DIGEST = "20a47e429e7a4a9f98a6a923e9bc12ab8ee44e0335832f4ba4bb1c63c901ad9d"
+
+
+def _random_ratio_system(rng):
+    """Up to 3n constraints with fractional coefficients; about a third
+    repeat an earlier (u, v) pair with a new coefficient."""
+    n = rng.randint(1, 5)
+    cons = []
+    for _ in range(rng.randint(0, 3 * n)):
+        if cons and rng.random() < 0.3:
+            u, v = rng.choice(cons)[:2]
+        else:
+            u, v = rng.randrange(n), rng.randrange(n)
+        cons.append((u, v, Fraction(rng.randint(1, 9), rng.randint(1, 9))))
+    return RatioConstraintSystem(n, tuple(RatioConstraint(*c) for c in cons))
+
+
+def test_solve_ratio_system_witness_digest():
+    rng = random.Random(83)
+    h = hashlib.sha256()
+    feasible = infeasible = 0
+    for _ in range(500):
+        sys_ = _random_ratio_system(rng)
+        res = solve_ratio_system(sys_)
+        if isinstance(res, InfeasibilityCycle):
+            infeasible += 1
+            cyc = res.constraints
+            assert all(c in sys_.constraints for c in cyc)
+            # Closed: each edge's v is the previous edge's u, around the cycle.
+            assert all(cyc[t].v == cyc[t - 1].u for t in range(len(cyc)))
+            assert res.product < 1
+            out = ("cycle", [(c.u, c.v, str(c.c)) for c in cyc])
+        else:
+            feasible += 1
+            assert all(x > 0 for x in res)
+            assert all(res[c.u] <= c.c * res[c.v] for c in sys_.constraints)
+            out = ("labels", [str(x) for x in res])
+        h.update(repr(out).encode())
+    assert feasible > 100 and infeasible > 100
+    assert h.hexdigest() == RATIO_SYSTEM_DIGEST
+
+
+def test_mpb_view_matches_definition():
+    # Prices proportional to one agent's row on a random subset force
+    # ties in that agent's ratios; rows and prices are fractional.
+    rng = random.Random(89)
+    for _ in range(300):
+        n, m = rng.randint(1, 4), rng.randint(1, 7)
+        d = [[Fraction(rng.randint(1, 6), rng.randint(1, 4)) for _ in range(m)]
+             for _ in range(n)]
+        a, s = rng.randrange(n), Fraction(rng.randint(1, 5), rng.randint(1, 5))
+        p = [d[a][j] * s if rng.random() < 0.5 else
+             Fraction(rng.randint(1, 8), rng.randint(1, 3)) for j in range(m)]
+        view = mpb_view(Instance(tuple(map(tuple, d))), p)
+        for i in range(n):
+            ratios = [d[i][j] / p[j] for j in range(m)]
+            alpha = min(ratios)
+            assert view.alpha[i] == alpha and type(view.alpha[i]) is Fraction
+            assert view.mpb_sets[i] == {j for j in range(m) if ratios[j] == alpha}

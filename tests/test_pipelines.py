@@ -30,7 +30,8 @@ from choreswap.errors import (
     RoundedInputInvalid,
     TooManyChores,
 )
-from choreswap.model import Bivalued
+from choreswap.market import RatioConstraint
+from choreswap.model import Bivalued, UniformInt
 from choreswap.pipelines import Pef1Solution, _BivaluedSearch, certificate_from_pef1
 
 from conftest import (
@@ -54,6 +55,69 @@ def test_search_pef1_mpb_single_agent():
     sol = search_pef1_mpb(inst)
     assert sol.x.owners == (0, 0, 0)
     assert is_mpb_allocation(inst, sol.x, sol.p)
+
+
+def _reference_bellman_ford(n, cons):
+    """Fraction labels from 1, relaxed in sorted (u, v, c) order; None if a
+    relaxation survives n passes."""
+    cons = sorted(cons, key=lambda c: (c.u, c.v, c.c))
+    labels = [Fraction(1)] * n
+    for _ in range(n):
+        changed = False
+        for c in cons:
+            if c.c * labels[c.v] < labels[c.u]:
+                labels[c.u] = c.c * labels[c.v]
+                changed = True
+        if not changed:
+            return labels
+    return None if any(c.c * labels[c.v] < labels[c.u] for c in cons) else labels
+
+
+class _ReferencePef1Search(pipelines._Pef1Search):
+    """The pEF1+MPB leaf as RatioConstraint lists rebuilt from the owner
+    vector: one per MPB pair and one per pEF1 pair, repeated (u, v) pairs
+    kept."""
+
+    def leaf_check(self):
+        n, rows = self.n, self.rows
+        bundles = [[j for j, o in enumerate(self.owners) if o == a] for a in range(n)]
+        sums = [sum(rows[a][j] for j in b) for a, b in enumerate(bundles)]
+        cons = []
+        for k, b in enumerate(bundles):
+            for i in range(n):
+                if b and i != k:
+                    c = min(Fraction(rows[i][j], rows[k][j]) for j in b)
+                    cons.append(RatioConstraint(k, i, c))
+        for i, b in enumerate(bundles):
+            rest = sums[i] - max((rows[i][j] for j in b), default=0)
+            for h in range(n):
+                if rest > 0 and h != i:
+                    if sums[h] == 0:
+                        return None
+                    cons.append(RatioConstraint(i, h, Fraction(sums[h], rest)))
+        labels = _reference_bellman_ford(n, cons)
+        if labels is None:
+            return None
+        return tuple(rows[o][j] * labels[o] for j, o in enumerate(self.owners))
+
+
+def test_pef1_leaf_matches_fraction_reference():
+    # Every solution in DFS order, owners and prices, on uniform and
+    # bivalued rows, a third rescaled by fractional row factors.
+    rng = random.Random(97)
+    ks = [Fraction(2), Fraction(3), Fraction(5, 2)]
+    for trial in range(300):
+        n = rng.randint(1, 4)
+        m = rng.randint(0, (8, 8, 7, 6)[n - 1])
+        dist = Bivalued(rng.choice(ks)) if trial % 2 else UniformInt(1, 20)
+        inst = generate_random(rng.randrange(1 << 30), n, m, dist)
+        if trial % 3 == 0:
+            inst = inst.scale_rows(
+                [Fraction(rng.randint(1, 9), rng.randint(1, 9)) for _ in range(n)]
+            )
+        got = [(s.x.owners, s.p) for s in pipelines._Pef1Search(inst, 10**6).iter_solutions()]
+        want = [(s.x.owners, s.p) for s in _ReferencePef1Search(inst, 10**6).iter_solutions()]
+        assert got == want, (trial, inst.d)
 
 
 def test_certificate_from_pef1_i1():
