@@ -26,6 +26,7 @@ from .errors import (
     RhoNotLessThanK,
     RoundedInputInvalid,
     TooManyChores,
+    TraceMismatch,
 )
 from .fairness import (
     DEFAULT_BUDGET,
@@ -52,6 +53,7 @@ from .model import (
     serialize_allocation,
     serialize_instance,
 )
+from .oracle import verify_trace
 from .pipelines import (
     SolveResult,
     solve_2efx,
@@ -123,6 +125,22 @@ def _report_row(
     )
 
 
+def _verify(inst, res: SolveResult):
+    """Replay the run through the independent verify_trace. The bivalued
+    run is replayed on inst: its 1/lo normalization is one uniform scale,
+    which changes no pick, swap or factor."""
+    if res.start is None:
+        print("verify: skipped (no framework run)", file=sys.stderr)
+        return
+    try:
+        ok = verify_trace(inst, res.start, res.cert, res.trace)
+    except TraceMismatch as e:
+        raise PostconditionViolated(f"verify: {e}", res.trace)
+    if not ok:
+        raise PostconditionViolated("verify: the replay breaks an invariant", res.trace)
+    print("verify: ok", file=sys.stderr)
+
+
 def _pick_method(inst) -> str:
     if inst.m <= 2 * inst.n:
         return "small-m"
@@ -187,6 +205,8 @@ def cmd_solve(args) -> int:
         res = _run_method(inst, method, args)
         ms = (time.perf_counter() - t0) * 1000
         row = _report_row(args.instance, method, res, inst, ms, args.budget)
+        if args.verify:
+            _verify(inst, res)
     except PostconditionViolated as e:
         print(f"solve: {e}", file=sys.stderr)
         if e.trace is not None:
@@ -359,6 +379,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--out", help="write the allocation here")
     s.add_argument("--trace", help="write the swap trace log here")
     s.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
+    s.add_argument("--verify", action="store_true", help="replay the trace independently")
     s.set_defaults(func=cmd_solve)
 
     c = sub.add_parser("check", help="check fairness properties of an allocation")

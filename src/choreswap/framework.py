@@ -39,12 +39,9 @@ class FriendlyCertificate:
 
 
 def designated_chore(inst: Instance, i: int, bundle) -> int:
-    """argmax_{j in bundle} d_ij, ties to the lowest chore index."""
-    best = None
-    for j in sorted(bundle):
-        if best is None or inst.d[i][j] > inst.d[i][best]:
-            best = j
-    return best
+    """argmax_{j in bundle} d_ij, ties to the lowest chore index. The
+    integer row is a positive rescaling of d_i, so it has the same argmax."""
+    return max(sorted(bundle), key=inst.integer_rows()[i].__getitem__, default=None)
 
 
 @dataclass(frozen=True)
@@ -111,14 +108,15 @@ def validate_certificate(
             rhs = cert.lam * inst.d[i][desig[h]]
             if lhs > rhs:
                 violations.append(Violation("ii", i, h, lhs, rhs))
+    lam1 = cert.lam - 1
     for i in sorted(cert.nh):
         lhs = lhs_residual(i)
         for k in sorted(cert.n0):
-            rhs = (cert.lam - 1) * bundle_disutility(inst, i, bundles[k])
+            rhs = lam1 * bundle_disutility(inst, i, bundles[k])
             if lhs > rhs:
                 violations.append(Violation("iii", i, k, lhs, rhs))
         for h in sorted(cert.nh):
-            rhs = (cert.lam - 1) * inst.d[i][desig[h]]
+            rhs = lam1 * inst.d[i][desig[h]]
             if lhs > rhs:
                 violations.append(Violation("iv", i, h, lhs, rhs))
         if cert.weak and residual[i]:

@@ -3,7 +3,9 @@
 All numeric quantities are exact: `int` or `fractions.Fraction`, never
 float or bool; no floating point enters any fairness computation.
 Instances, allocations and price vectors are immutable after
-construction and safe to share across threads.
+construction and safe to share across threads. An instance builds its
+integer rows (each row times the lcm of its denominators) once, on first
+use, as a tuple of int tuples.
 """
 
 from __future__ import annotations
@@ -12,6 +14,7 @@ import math
 import random
 import re
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence, Union
 
@@ -56,6 +59,8 @@ _RATIONAL_RE = re.compile(r"^([+-]?\d+)(?:/(\d+))?$")
 
 def parse_rational(token: str, line: int = None, col: int = None) -> Fraction:
     """Parse "a" or "a/b" into an exact Fraction."""
+    if token.isdecimal():  # exactly the unsigned tokens that \d+ matches
+        return Fraction(int(token))
     m = _RATIONAL_RE.match(token)
     if m is None:
         raise BadRational(f"not a rational: {token!r}", line, col)
@@ -84,7 +89,8 @@ class Instance:
     """A chore division instance: n agents, m chores, strictly positive
     disutility matrix d (n rows, m columns). Entries may be given as ints
     or Fractions; ints are stored as Fractions, so every quotient of two
-    entries is exact."""
+    entries is exact. The integer rows are built once, on first use, as
+    tuples, and are not part of equality, hash or repr."""
 
     d: tuple
 
@@ -104,7 +110,7 @@ class Instance:
                             f"d[{i + 1}][{j + 1}] = {v!r} is not an int or Fraction"
                         )
                     has_int = has_int or not isinstance(v, Fraction)
-                if v <= 0:
+                if v.numerator <= 0:  # denominators are positive
                     raise NonPositiveDisutility(
                         f"d[{i + 1}][{j + 1}] = {v} is not positive"
                     )
@@ -136,9 +142,13 @@ class Instance:
             )
         )
 
-    def integer_rows(self) -> list:
+    @cached_property
+    def _integer_rows(self) -> tuple:
+        return tuple(tuple(integer_row(row)) for row in self.d)
+
+    def integer_rows(self) -> tuple:
         """Per-row integer rescalings of d (row-scale invariant uses only)."""
-        return [integer_row(row) for row in self.d]
+        return self._integer_rows
 
     def bivalued_k(self) -> Optional[Fraction]:
         """If all entries take at most two values {a, b}, return
@@ -204,7 +214,7 @@ def parse_instance(text: str) -> Instance:
         row = []
         for col, tok in enumerate(toks):
             v = parse_rational(tok, lno, col + 1)
-            if v <= 0:
+            if v.numerator <= 0:
                 raise NonPositiveDisutility(
                     f"disutility must be positive, got {tok}", lno, col + 1
                 )

@@ -60,6 +60,7 @@ class SolveResult:
     cert: Optional[FriendlyCertificate] = None
     prices: Optional[tuple] = None
     notes: List[str] = field(default_factory=list)
+    start: Optional[Allocation] = None  # run_framework's input; None if it did not run
 
 
 def _trivial_trace(inst: Instance, X: Allocation, lam: Fraction, mode: str) -> SwapTrace:
@@ -300,7 +301,7 @@ def solve_2efx(inst: Instance, budget: int = DEFAULT_BUDGET) -> SolveResult:
         return SolveResult(sol.x, trace, "pef1", prices=sol.p, notes=["m<n singleton"])
     cert = certificate_from_pef1(inst, sol)
     x, trace = run_framework(inst, sol.x, cert)
-    return SolveResult(x, trace, "pef1", cert=cert, prices=sol.p)
+    return SolveResult(x, trace, "pef1", cert=cert, prices=sol.p, start=sol.x)
 
 
 def _bivalued_candidate(
@@ -337,7 +338,9 @@ def _bivalued_candidate(
             return None
         prices = fresh
         notes = notes + ["repriced: reallocation broke the maintained MPB prices"]
-    return SolveResult(x, trace, "bivalued", cert=cert, prices=prices, notes=notes)
+    return SolveResult(
+        x, trace, "bivalued", cert=cert, prices=prices, notes=notes, start=sol.x
+    )
 
 
 def _bivalued_starts(norm: Instance, k: Fraction, budget: int):
@@ -392,14 +395,16 @@ def solve_bivalued(inst: Instance, budget: int = DEFAULT_BUDGET) -> SolveResult:
 def _round_robin_two_phase(inst: Instance) -> Allocation:
     """Phase A: agents r..1 (r = m - n) pick their cheapest chore; Phase B:
     agents 1..n pick again, while chores remain. Ties to the lowest chore index. With
-    m <= n Phase A is empty and each agent gets at most one chore."""
+    m <= n Phase A is empty and each agent gets at most one chore. Picks
+    compare integer rows, positive rescalings of d with the same order."""
     n, m = inst.n, inst.m
+    rows = inst.integer_rows()
     pool = set(range(m))
     bundles = [set() for _ in range(n)]
     for i in [*range(m - n - 1, -1, -1), *range(n)]:
         if not pool:
             break
-        j = min(pool, key=lambda c: (inst.d[i][c], c))
+        j = min(pool, key=lambda c: (rows[i][c], c))
         pool.remove(j)
         bundles[i].add(j)
     return allocation_from_bundles(n, m, bundles)
@@ -416,7 +421,7 @@ def solve_small_m(inst: Instance) -> SolveResult:
         return SolveResult(y, _trivial_trace(inst, y, Fraction(1), "weak"), "small-m")
     cert = FriendlyCertificate(Fraction(1), frozenset(), frozenset(range(n)), weak=True)
     x, trace = run_framework(inst, y, cert)
-    return SolveResult(x, trace, "small-m", cert=cert)
+    return SolveResult(x, trace, "small-m", cert=cert, start=y)
 
 
 HALF = Fraction(1, 2)
@@ -552,4 +557,6 @@ def solve_4efx(
         Fraction(4), frozenset(range(n)) - nh, nh, weak=False
     )
     x, trace = run_framework(inst, y, cert)
-    return SolveResult(x, trace, "er4", cert=cert, prices=rounded.p, notes=notes)
+    return SolveResult(
+        x, trace, "er4", cert=cert, prices=rounded.p, notes=notes, start=y
+    )

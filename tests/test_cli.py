@@ -91,6 +91,36 @@ def test_solve_pef1_without_start_is_a_finding(tmp_path, capsys, monkeypatch):
     )
 
 
+@pytest.mark.parametrize("method, text", [("pef1", I1), ("small-m", I2)])
+def test_solve_verify_replays_the_trace(tmp_path, capsys, method, text):
+    inst = write(tmp_path, "inst.txt", text)
+    assert main(["solve", inst, "--method", method, "--verify"]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == "verify: ok\n"
+    assert captured.out.splitlines()[1].split(",")[1] == method
+
+
+def test_solve_verify_skips_without_framework(tmp_path, capsys):
+    inst = write(tmp_path, "dom.txt", DOM)
+    assert main(["solve", inst, "--verify"]) == 0
+    assert capsys.readouterr().err == "verify: skipped (no framework run)\n"
+
+
+def test_solve_verify_catches_forged_swap(tmp_path, capsys, monkeypatch):
+    def forged(inst):
+        res = pipelines.solve_small_m(inst)
+        res.trace.swaps.append((0, 1, 0))
+        return res
+
+    monkeypatch.setattr("choreswap.cli.solve_small_m", forged)
+    inst = write(tmp_path, "i2.txt", I2)
+    assert main(["solve", inst, "--method", "small-m", "--verify"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("solve: verify: swaps diverge: replay [], trace [(0, 1, 0)]\n")
+    assert "SWAP 1 2 1" in captured.err
+
+
 def test_solve_auto_picks_small_m(tmp_path, capsys):
     inst = write(tmp_path, "i2.txt", I2)
     assert main(["solve", inst]) == 0

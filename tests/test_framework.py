@@ -23,6 +23,7 @@ from choreswap.errors import (
 )
 from choreswap.model import UniformInt
 from choreswap.oracle import CertificateBounds
+from choreswap.pipelines import _round_robin_two_phase
 
 from conftest import inst_i1, inst_i3, make_instance
 
@@ -64,6 +65,47 @@ def test_designated_chore_tie_break():
     inst = make_instance([[5, 5, 1]])
     assert designated_chore(inst, 0, [0, 1, 2]) == 0
     assert designated_chore(inst, 0, [2, 1]) == 1
+
+
+def _fraction_designated(inst, i, bundle):
+    best = None
+    for j in sorted(bundle):
+        if best is None or inst.d[i][j] > inst.d[i][best]:
+            best = j
+    return best
+
+
+def _fraction_round_robin(inst):
+    n, m = inst.n, inst.m
+    pool = set(range(m))
+    owners = [None] * m
+    for i in [*range(m - n - 1, -1, -1), *range(n)]:
+        if not pool:
+            break
+        j = min(pool, key=lambda c: (inst.d[i][c], c))
+        pool.remove(j)
+        owners[j] = i
+    return Allocation(n, tuple(owners))
+
+
+def test_integer_picks_match_fraction_reference():
+    # Values from 1..3 force ties; fractional row factors make the integer
+    # rows differ from d by a different scale per row.
+    rng = random.Random(9090)
+    ties = 0
+    for _ in range(300):
+        n = rng.randint(1, 6)
+        m = rng.randint(0, 2 * n)
+        inst = make_instance(
+            [[rng.randint(1, 3) for _ in range(m)] for _ in range(n)]
+        ).scale_rows([Fraction(rng.randint(1, 50), rng.randint(1, 50)) for _ in range(n)])
+        for i in range(n):
+            bundle = rng.sample(range(m), rng.randint(0, m))
+            assert designated_chore(inst, i, bundle) == _fraction_designated(inst, i, bundle)
+            vals = [inst.d[i][j] for j in bundle]
+            ties += bool(vals) and vals.count(max(vals)) > 1
+        assert _round_robin_two_phase(inst) == _fraction_round_robin(inst), inst.d
+    assert ties > 100, ties
 
 
 def test_chore_swap_examples():

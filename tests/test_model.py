@@ -28,7 +28,7 @@ from choreswap.errors import (
     NonPositiveDisutility,
     RowCountMismatch,
 )
-from choreswap.model import Bivalued, UniformInt
+from choreswap.model import _RATIONAL_RE, Bivalued, UniformInt, integer_row
 
 from conftest import make_instance
 
@@ -157,6 +157,58 @@ def test_parse_rational():
         parse_rational("1.5")
 
 
+def _regex_rational(token, line, col):
+    """parse_rational through _RATIONAL_RE alone, with no fast path."""
+    m = _RATIONAL_RE.match(token)
+    if m is None:
+        raise BadRational(f"not a rational: {token!r}", line, col)
+    den = int(m.group(2)) if m.group(2) is not None else 1
+    if den == 0:
+        raise BadRational(f"zero denominator: {token!r}", line, col)
+    return Fraction(int(m.group(1)), den)
+
+
+@pytest.mark.parametrize(
+    "token",
+    ["7", "007", "+7", "-7", "0", "12/4", "3/0", "\u0663", "\u00b2", "1_000",
+     "1.5", "", "0x10"],
+)
+def test_parse_rational_fast_path_matches_regex(token):
+    # The fast path takes str.isdecimal() tokens: exactly the unsigned ones
+    # that \d+ matches, non-ASCII decimal digits included; '\u00b2' (a
+    # superscript two) is a digit but not decimal, so it stays a BadRational.
+    def outcome(parse):
+        try:
+            v = parse(token, 2, 3)
+        except Exception as e:
+            return type(e), str(e)
+        return type(v), v
+
+    assert outcome(parse_rational) == outcome(_regex_rational)
+
+
+def test_integer_rows_cached_and_outside_identity():
+    rng = random.Random(4242)
+    for case in range(200):
+        n, m = rng.randint(1, 4), rng.randint(0, 6)
+        inst = Instance(
+            tuple(
+                tuple(Fraction(rng.randint(1, 30), rng.randint(1, 12)) for _ in range(m))
+                for _ in range(n)
+            )
+        )
+        if case % 2:
+            inst = inst.scale_rows([Fraction(rng.randint(1, 9), rng.randint(1, 9)) for _ in range(n)])
+        twin = Instance(inst.d)
+        before = (hash(inst), repr(inst))
+        rows = inst.integer_rows()
+        assert inst.integer_rows() is rows
+        assert type(rows) is tuple and all(type(r) is tuple for r in rows)
+        assert all(type(v) is int for r in rows for v in r)
+        assert [list(r) for r in rows] == [integer_row(r) for r in inst.d]
+        assert inst == twin and (hash(inst), repr(inst)) == before == (hash(twin), repr(twin))
+
+
 def test_exact_arithmetic_identity():
     rng = random.Random(5)
     for _ in range(100):
@@ -173,7 +225,7 @@ def test_instance_validation():
         Instance(((0.1, 0.2, 0.3), (0.3, 0.2, 0.1)))
     with pytest.raises(BadRational):
         Instance(((Fraction(1), True),))
-    assert Instance(((1, Fraction(1, 2)),)).integer_rows() == [[2, 1]]
+    assert Instance(((1, Fraction(1, 2)),)).integer_rows() == ((2, 1),)
 
 
 def test_allocation_validation():
