@@ -69,6 +69,8 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_FINDING = 2
 
+METHODS = ("auto", "pef1", "bivalued", "small-m", "er4")
+
 
 class _Parser(argparse.ArgumentParser):
     """argparse exits 2 on usage errors; this surface reserves 2 for
@@ -125,20 +127,20 @@ def _report_row(
     )
 
 
-def _verify(inst, res: SolveResult):
-    """Replay the run through the independent verify_trace. The bivalued
-    run is replayed on inst: its 1/lo normalization is one uniform scale,
-    which changes no pick, swap or factor."""
+def _verify(inst, res: SolveResult) -> bool:
+    """Replay the run through the independent verify_trace; False when no
+    framework ran. The bivalued run is replayed on inst: its 1/lo
+    normalization is one uniform scale, which changes no pick, swap or
+    factor."""
     if res.start is None:
-        print("verify: skipped (no framework run)", file=sys.stderr)
-        return
+        return False
     try:
         ok = verify_trace(inst, res.start, res.cert, res.trace)
     except TraceMismatch as e:
         raise PostconditionViolated(f"verify: {e}", res.trace)
     if not ok:
         raise PostconditionViolated("verify: the replay breaks an invariant", res.trace)
-    print("verify: ok", file=sys.stderr)
+    return True
 
 
 def _pick_method(inst) -> str:
@@ -206,7 +208,8 @@ def cmd_solve(args) -> int:
         ms = (time.perf_counter() - t0) * 1000
         row = _report_row(args.instance, method, res, inst, ms, args.budget)
         if args.verify:
-            _verify(inst, res)
+            ran = _verify(inst, res)
+            print("verify: ok" if ran else "verify: skipped (no framework run)", file=sys.stderr)
     except PostconditionViolated as e:
         print(f"solve: {e}", file=sys.stderr)
         if e.trace is not None:
@@ -301,14 +304,20 @@ def cmd_check(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    corpus = sorted(Path(args.corpus).glob("*.txt"))
-    methods = [m.strip() for m in args.methods.split(",") if m.strip()]
+    if not Path(args.corpus).is_dir():
+        raise ChoreSwapError(f"corpus {args.corpus} is not a directory")
+    methods = [m.strip() for m in args.methods.split(",")]
+    for method in methods:
+        if method not in METHODS:
+            raise ChoreSwapError(f"unknown method {method!r}; choose from {', '.join(METHODS)}")
     if _er4_inputs_missing("bench", methods, args):
         return EXIT_USAGE
+    corpus = sorted(Path(args.corpus).glob("*.txt"))
     rows: List[str] = []
     worst = None
     swap_total = 0
     failures = 0
+    verified = skipped = 0
     found_postcondition = False
     for path in corpus:
         inst = parse_instance(path.read_text())
@@ -318,7 +327,12 @@ def cmd_bench(args) -> int:
             try:
                 res = _run_method(inst, chosen, args)
                 ms = (time.perf_counter() - t0) * 1000
-                rows.append(_report_row(path.name, chosen, res, inst, ms, args.budget))
+                row = _report_row(path.name, chosen, res, inst, ms, args.budget)
+                if args.verify and _verify(inst, res):
+                    verified += 1
+                elif args.verify:
+                    skipped += 1
+                rows.append(row)
                 f = res.trace.final_factor
                 if worst is None or f > worst:
                     worst = f
@@ -343,6 +357,8 @@ def cmd_bench(args) -> int:
         Path(args.out).write_text(out)
     else:
         sys.stdout.write(out)
+    if args.verify:
+        print(f"bench: verify: {verified} ok, {skipped} skipped", file=sys.stderr)
     n_ok = len(rows) - failures
     mean_swaps = f"{swap_total / n_ok:.3f}" if n_ok else "n/a"
     print(
@@ -371,7 +387,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("instance")
     s.add_argument(
         "--method",
-        choices=["auto", "pef1", "bivalued", "small-m", "er4"],
+        choices=METHODS,
         default="auto",
     )
     s.add_argument("--alloc", help="rounded input allocation (er4)")
@@ -403,6 +419,7 @@ def build_parser() -> argparse.ArgumentParser:
     b.add_argument("--alloc")
     b.add_argument("--prices")
     b.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
+    b.add_argument("--verify", action="store_true", help="replay every trace independently")
     b.set_defaults(func=cmd_bench)
     return parser
 

@@ -9,6 +9,9 @@ It cuts a branch only when a lower bound on the factor of every
 allocation below it already reaches the best factor found, so the
 minimum it returns is the one full enumeration gives; the tests keep
 the unpruned `EnumerationCursor` path as the reference for that claim.
+The visit order (costly chores first, cheapest owner first) only finds
+a good incumbent sooner: the result is the minimum value over all
+leaves, which does not depend on the order the leaves are visited in.
 """
 
 from __future__ import annotations
@@ -66,10 +69,20 @@ def enumerate_allocations(n: int, m: int):
 def best_efx_factor(inst: Instance, budget: int = DEFAULT_ORACLE_BUDGET):
     """Minimum efx factor over every complete allocation, exactly.
 
-    Depth-first branch and bound over the n^m owner vectors, chores in
-    index order, with incremental pairwise bundle sums on integer rows
-    (the factor is invariant under row scaling). Ratios are exact
-    `(num, den)` integer pairs compared by cross-multiplication.
+    Depth-first branch and bound over the n^m owner vectors, with
+    incremental pairwise bundle sums on integer rows (the factor is
+    invariant under row scaling). Ratios are exact `(num, den)` integer
+    pairs compared by cross-multiplication.
+
+    Visit order: each row is weighed by W[i] = lcm(tot) / tot[i], with
+    tot[i] its row sum, so rows[i][j] * W[i] is agent i's share of chore
+    j on one common integer scale. Chores are taken by descending total
+    share and each chore tries its owners by ascending share (ties to the
+    lower index), so a cheap incumbent comes early and the bounds cut
+    sooner. The order cannot change the result: it is the minimum value
+    over all leaves, and a leaf whose factor is below the incumbent has
+    every bound at or below that factor, so it is never cut. Any order
+    returns the same `Fraction` (or INFINITE); only the node count moves.
 
     The pruning keeps the result exact. Agent i's final ratio is
     hat_i / min_h cross_i[h]. Its numerator hat_i (bundle sum minus
@@ -88,15 +101,20 @@ def best_efx_factor(inst: Instance, budget: int = DEFAULT_ORACLE_BUDGET):
     n, m = inst.n, inst.m
     if n**m > budget:
         raise BudgetExceeded(f"{n}^{m} allocations exceed budget {budget}")
-    if n == 1:
-        return Fraction(0)  # no rival bundle to envy
+    if n == 1 or m == 0:
+        return Fraction(0)  # no rival bundle, or nothing, to envy
     rows = inst.integer_rows()
-    cols = [[rows[i][j] for i in range(n)] for j in range(m)]
+    tot = [sum(row) for row in rows]
+    scale = math.lcm(*tot)
+    shares = [[rows[i][j] * (scale // tot[i]) for i in range(n)] for j in range(m)]
+    order = sorted(range(m), key=lambda j: -sum(shares[j]))
+    cols = [[rows[i][j] for i in range(n)] for j in order]
+    owners = [sorted(range(n), key=shares[j].__getitem__) for j in order]
     # cross[i][h]: agent i's value of agent h's current bundle.
     cross = [[0] * n for _ in range(n)]
     minv = [0] * n  # own-row minimum within the own bundle
     cnt = [0] * n
-    rem = [sum(row) for row in rows]  # own value of the unassigned chores
+    rem = list(tot)  # own value of the unassigned chores
     rivals = n - 1
     # Incumbent as (num, den); (1, 0) means none yet. Only an infinite
     # bound reaches it, and infinite leaves are never the minimum.
@@ -128,7 +146,7 @@ def best_efx_factor(inst: Instance, budget: int = DEFAULT_ORACLE_BUDGET):
         col = cols[j]
         for i in range(n):
             rem[i] -= col[i]
-        for a in range(n):
+        for a in owners[j]:
             w = col[a]
             for i in range(n):
                 cross[i][a] += col[i]

@@ -210,6 +210,63 @@ def test_bench_empty_corpus(tmp_path, capsys):
     assert capsys.readouterr().out == CSV_HEADER + "\n"
 
 
+@pytest.mark.parametrize("target", ["missing", "i1.txt"])
+def test_bench_corpus_must_be_a_directory(tmp_path, capsys, target):
+    write(tmp_path, "i1.txt", I1)
+    corpus = tmp_path / target
+    assert main(["bench", str(corpus), "--methods", "auto"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"choreswap: error: corpus {corpus} is not a directory\n"
+
+
+@pytest.mark.parametrize("methods, bad", [("bogus", "bogus"), ("", ""), ("auto,", ""), ("pef1,x", "x")])
+def test_bench_rejects_unknown_methods(tmp_path, capsys, monkeypatch, methods, bad):
+    def must_not_run(*args):
+        raise AssertionError("an instance ran before --methods was checked")
+
+    monkeypatch.setattr("choreswap.cli._run_method", must_not_run)
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    write(corpus, "i1.txt", I1)
+    assert main(["bench", str(corpus), "--methods", methods]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"choreswap: error: unknown method {bad!r}; choose from auto,")
+
+
+def test_bench_verify_replays_every_run(tmp_path, capsys):
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    for name, text in (("dom.txt", DOM), ("i1.txt", I1), ("i2.txt", I2)):
+        write(corpus, name, text)
+    assert main(["bench", str(corpus), "--methods", "pef1,small-m", "--verify"]) == 0
+    captured = capsys.readouterr()
+    assert len(captured.out.splitlines()) == 7
+    assert captured.err.splitlines()[0] == "bench: verify: 5 ok, 1 skipped"
+    assert "verify: ok" not in captured.err
+
+
+def test_bench_verify_catches_forged_swap(tmp_path, capsys, monkeypatch):
+    def forged(inst):
+        res = pipelines.solve_small_m(inst)
+        res.trace.swaps.append((0, 1, 0))
+        return res
+
+    monkeypatch.setattr("choreswap.cli.solve_small_m", forged)
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    write(corpus, "i2.txt", I2)
+    assert main(["bench", str(corpus), "--methods", "small-m", "--verify"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out.splitlines()[1].startswith("i2.txt,small-m,,,,,,")
+    assert captured.out.splitlines()[1].endswith(",error:PostconditionViolated")
+    assert captured.err.splitlines()[:2] == [
+        "bench: i2.txt [small-m]: verify: swaps diverge: replay [], trace [(0, 1, 0)]",
+        "bench: verify: 0 ok, 0 skipped",
+    ]
+
+
 def test_bench_golden_pinned_seeds(tmp_path, capsys):
     corpus = tmp_path / "corpus"
     assert main(["gen", "--n", "2", "--m", "5", "--seed", "21", "--count", "2",

@@ -91,6 +91,47 @@ def test_best_efx_factor_matches_unpruned_enumeration():
         assert best_efx_factor(inst) == _unpruned_best_efx_factor(inst), (trial, inst.d)
 
 
+def _permuted(inst, agents, chores):
+    return Instance(tuple(tuple(inst.d[i][j] for j in chores) for i in agents))
+
+
+def test_best_efx_factor_invariant_under_permutations():
+    # The search order is a function of the values, so relabelling the
+    # agents or the chores changes which leaves are visited first; the
+    # minimum over all leaves must not move.
+    rng = random.Random(43)
+    dists = [UniformInt(1, 20), Bivalued(Fraction(2)), UniformInt(1, 9)]
+    for trial in range(200):
+        n = rng.randint(1, 4)
+        m = rng.randint(0, 7)
+        inst = generate_random(rng.randrange(1 << 30), n, m, dists[trial % 3])
+        if trial % 3 == 2:
+            scales = [Fraction(rng.randint(1, 9), rng.randint(1, 9)) for _ in range(n)]
+            inst = Instance(
+                tuple(tuple(v * s for v in row) for row, s in zip(inst.d, scales))
+            )
+        best = best_efx_factor(inst)
+        agents = rng.sample(range(n), n)
+        chores = rng.sample(range(m), m)
+        for a, c in ((agents, range(m)), (range(n), chores), (agents, chores)):
+            assert best_efx_factor(_permuted(inst, a, c)) == best, (trial, inst.d, a, c)
+
+
+def test_best_efx_factor_order_edge_cases():
+    for n in (2, 3):
+        assert best_efx_factor(Instance(((),) * n)) == 0
+    assert best_efx_factor(make_instance([[4, 5, 6]])) == 0
+    # Identical (or proportional) rows tie every chore and owner key.
+    for rows in (
+        [[3, 1, 2, 2, 1]] * 2,
+        [[3, 1, 2, 2]] * 3,
+        [[2, 2, 2, 2, 2], [1, 1, 1, 1, 1]],
+        [[1, 2, 3], [2, 4, 6], [3, 6, 9]],
+    ):
+        inst = make_instance(rows)
+        assert best_efx_factor(inst) == _unpruned_best_efx_factor(inst), rows
+
+
 def test_pef1_mpb_exists_examples():
     assert pef1_mpb_exists(make_instance([[5, 6]]))
     assert pef1_mpb_exists(inst_i1())
