@@ -168,12 +168,10 @@ def _run_method(inst, method: str, args) -> SolveResult:
     raise ChoreSwapError(f"unknown method {method!r}")
 
 
-def _er4_inputs_missing(command: str, methods, args) -> bool:
-    """Print the usage error of an er4 run without its rounded input."""
+def _require_er4_inputs(methods, args):
+    """Reject an er4 run without its rounded input as a usage error."""
     if "er4" in methods and (args.alloc is None or args.prices is None):
-        print(f"{command}: error: --method er4 requires --alloc and --prices", file=sys.stderr)
-        return True
-    return False
+        raise ChoreSwapError("--method er4 requires --alloc and --prices")
 
 
 def cmd_gen(args) -> int:
@@ -200,8 +198,7 @@ def cmd_solve(args) -> int:
     method = args.method
     if method == "auto":
         method = _pick_method(inst)
-    if _er4_inputs_missing("solve", [method], args):
-        return EXIT_USAGE
+    _require_er4_inputs([method], args)
     t0 = time.perf_counter()
     try:
         res = _run_method(inst, method, args)
@@ -310,8 +307,7 @@ def cmd_bench(args) -> int:
     for method in methods:
         if method not in METHODS:
             raise ChoreSwapError(f"unknown method {method!r}; choose from {', '.join(METHODS)}")
-    if _er4_inputs_missing("bench", methods, args):
-        return EXIT_USAGE
+    _require_er4_inputs(methods, args)
     corpus = sorted(Path(args.corpus).glob("*.txt"))
     rows: List[str] = []
     worst = None

@@ -152,14 +152,21 @@ class Instance:
 
     def bivalued_k(self) -> Optional[Fraction]:
         """If all entries take at most two values {a, b}, return
-        k = max(a,b)/min(a,b); otherwise None."""
-        values = {v for row in self.d for v in row}
-        if len(values) > 2:
-            return None
-        if not values or len(values) == 1:
+        k = max(a,b)/min(a,b); otherwise None. Entries are collected as
+        (numerator, denominator) pairs, equal exactly when the normalized
+        Fractions are and cheaper to hash, and the scan stops at a third
+        distinct value."""
+        values = set()
+        for row in self.d:
+            for v in row:
+                values.add((v.numerator, v.denominator))
+                if len(values) > 2:
+                    return None
+        if len(values) < 2:
             return Fraction(1)
-        lo, hi = min(values), max(values)
-        return hi / lo
+        (a, b), (c, d) = values
+        k = Fraction(a * d, b * c)
+        return k if k > 1 else 1 / k
 
 
 def bundle_disutility(inst: Instance, i: int, chores: Iterable[int]) -> Fraction:

@@ -25,19 +25,9 @@ from .errors import (
     RoundedInputInvalid,
     TooManyChores,
 )
-from .fairness import (
-    DEFAULT_BUDGET,
-    efx_factor,
-    is_alpha_efx,
-    is_pefk,
-)
+from .fairness import DEFAULT_BUDGET, efx_factor, is_alpha_efx, is_pefk
 from .framework import FriendlyCertificate, SwapTrace, chore_swap, run_framework
-from .market import (
-    InfeasibilityCycle,
-    is_mpb_allocation,
-    mpb_price_feasibility,
-    ratio_labels,
-)
+from .market import is_mpb_allocation, ratio_labels
 from .model import Allocation, Instance, allocation_from_bundles
 
 NO_PEF1_MPB = "no pEF1+MPB allocation found within budget (existence finding)"
@@ -70,24 +60,33 @@ def _trivial_trace(inst: Instance, X: Allocation, lam: Fraction, mode: str) -> S
 
 
 class _Pef1Search:
-    """Lexicographic DFS over owner vectors with sound pruning.
+    """Lexicographic DFS over owner vectors. Two cuts remove only subtrees
+    without a solution, so `iter_solutions` yields the solutions of the
+    unpruned n^m enumeration in the same order, and the first is the same.
 
-    Pruning never changes the first feasible allocation found: branches
-    are cut only when no completion can be MPB-feasible (a two-cycle of
-    ratio constraints already multiplies below 1) or when too few chores
-    remain to fill every empty bundle (only enforced when m >= n).
+    - 2-cycle cut. With p_j = rows[o][j] * t_o, MPB needs t_k <= c * t_i
+      for c = cmin[k][i], the least rows[i][j] / rows[k][j] over j in X_k.
+      A pair with cmin[k][i] * cmin[i][k] < 1 is infeasible, and stays so
+      below, as cmin only falls along a path. A product changes only with
+      one of its factors, so testing the entries a placement tightened
+      tests every product when it changes: the cuts of testing all pairs.
+    - Fill rule. With m >= n, a leaf with an empty bundle fails pEF1 (a
+      two-chore bundle's positive rest exceeds the empty bundle's zero
+      earning), so when the chores left equal the empty bundles, chore j
+      goes to an empty agent. With m < n, m - j < empties at every node,
+      so the rule never fires.
     """
 
     def __init__(self, inst: Instance, budget: int):
-        self.inst = inst
         self.n, self.m = inst.n, inst.m
         if self.n**self.m > budget:
             raise BudgetExceeded(f"{self.n}^{self.m} allocations exceed budget {budget}")
         self.rows = inst.integer_rows()
+        self.cols = tuple(zip(*self.rows))  # cols[j][i] = rows[i][j]
         n, m = self.n, self.m
         self.owners = [None] * m
-        # cmin[i][k]: least rows[i][j] / rows[k][j] over j in X_k, kept as
-        # the integer pair (rows[i][j], rows[k][j]); None while X_k is empty.
+        # cmin[k][i] as an integer pair (num, den), compared by
+        # cross-multiplication; None while X_k is empty.
         self.cmin = [[None] * n for _ in range(n)]
         self.sums = [0] * n
         self.maxv = [0] * n
@@ -97,8 +96,8 @@ class _Pef1Search:
         """Return prices (tuple of Fractions) if the current complete
         allocation admits MPB + pEF1 prices, else None.
 
-        With p_j = rows[o][j] * t_o, MPB is t_k <= cmin[i][k] * t_i and pEF1
-        is t_i <= sums[h] / (sums[i] - maxv[i]) * t_h, both integer pairs.
+        MPB is t_u <= cmin[u][v] * t_v and pEF1 is
+        t_u <= sums[v] / (sums[u] - maxv[u]) * t_v, both integer pairs.
         Each ordered pair keeps its smaller coefficient: in the full list,
         sorted by (u, v, c), the smaller c relaxes first (or holds), after
         which x_u <= c * x_v and the larger c never relaxes, in any pass.
@@ -110,7 +109,7 @@ class _Pef1Search:
             for v in range(n):
                 if v == u:
                     continue
-                c = cmin[v][u]
+                c = cmin[u][v]
                 if rest > 0:
                     if sums[v] == 0:
                         return None
@@ -132,48 +131,44 @@ class _Pef1Search:
             yield Pef1Solution(Allocation(self.n, owners), prices)
 
     def _dfs(self, j: int):
-        n, m = self.n, self.m
-        if j == m:
+        if j == self.m:
             prices = self.leaf_check()
             if prices is not None:
                 yield tuple(self.owners), prices
             return
-        if m >= n:
-            empties = sum(1 for c in self.counts if c == 0)
-            if m - j < empties:
-                return
-        rows, cmin = self.rows, self.cmin
+        n, cmin, counts = self.n, self.cmin, self.counts
+        col = self.cols[j]
+        fill = self.m - j == counts.count(0)
         for a in range(n):
-            w = rows[a][j]
-            saved = [cmin[i][a] for i in range(n)]
-            ok = True
+            if fill and counts[a]:
+                continue
+            w = col[a]
+            mine = cmin[a]
+            undo = []
             for i in range(n):
                 if i == a:
                     continue
-                # Ratios are (num, den) pairs with den > 0, compared by
-                # cross-multiplication.
-                cur = saved[i]
-                w_i = rows[i][j]
+                cur = mine[i]
+                w_i = col[i]
                 if cur is None or w_i * cur[1] < cur[0] * w:
-                    cur = cmin[i][a] = (w_i, w)
-                back = cmin[a][i]
-                if back is not None and cur[0] * back[0] < cur[1] * back[1]:
-                    ok = False
-                    break
-            if ok:
+                    undo.append((i, cur))
+                    mine[i] = (w_i, w)
+                    back = cmin[i][a]
+                    if back is not None and w_i * back[0] < w * back[1]:
+                        break  # the 2-cycle cut
+            else:
                 self.owners[j] = a
                 self.sums[a] += w
                 om = self.maxv[a]
                 if w > om:
                     self.maxv[a] = w
-                self.counts[a] += 1
+                counts[a] += 1
                 yield from self._dfs(j + 1)
-                self.counts[a] -= 1
+                counts[a] -= 1
                 self.maxv[a] = om
                 self.sums[a] -= w
-                self.owners[j] = None
-            for i in range(n):
-                cmin[i][a] = saved[i]
+            for i, cur in undo:
+                mine[i] = cur
 
 
 def search_pef1_mpb(inst: Instance, budget: int = DEFAULT_BUDGET) -> Optional[Pef1Solution]:
@@ -184,28 +179,30 @@ def search_pef1_mpb(inst: Instance, budget: int = DEFAULT_BUDGET) -> Optional[Pe
 
 class _BivaluedSearch(_Pef1Search):
     """pEF1+MPB search with prices restricted to {1, k} on an instance whose
-    values are all 1 or k (k >= 1). Generic MPB pruning stays sound: a
+    values are all lo or lo * k (k >= 1). Generic MPB pruning stays sound: a
     {1,k}-priced solution is in particular an unrestricted one.
 
-    The leaf check is integer-only. For k > 1, every ratio d/p with d and p
-    in {1, k} is k^e with e = [d = k] - [p = k] in {-1, 0, 1}, and k^e
-    orders as e does, so agent a is MPB iff every chore in its bundle has
-    a's least exponent over all chores. Agent a's MPB bundle has one
-    ratio, so its prices are all 1, all k, or (when a values it at both 1
-    and k) equal to a's values; those are the per-agent options, tried in
+    The leaf check is integer-only and reads only which entries are high,
+    so it runs as on the values divided by lo, {1, k}. Every ratio d/p is
+    then k^e with e = [d = k] - [p = k] in {-1, 0, 1}, and k^e orders as e
+    does, so agent a is MPB iff every chore in its bundle has a's least
+    exponent over all chores. Agent a's MPB bundle has one ratio, so its
+    prices are all 1, all k, or (when a values it at both 1 and k) equal
+    to a's values; those are the per-agent options, tried in
     `itertools.product` order. Earnings are counted in units of
     1/k.denominator: price 1 is k.denominator and price k is k.numerator.
     Both are positive integers, so sums and the pEF1 comparisons are exact
-    on that common scale. With k = 1 every ratio is 1 and every price is 1.
+    on that common scale. With k = 1 no entry is high and every price is
+    1, and the first combo that is pEF1 is MPB.
     """
 
     def __init__(self, inst: Instance, k: Fraction, budget: int):
         super().__init__(inst, budget)
         self.k = k
-        self.flat = k == 1
         self.unit, self.k_units = k.denominator, k.numerator
-        # high[a][j] = [d[a][j] = k], for k > 1 (all 0 when k = 1).
-        self.high = [[int(v != 1) for v in row] for row in inst.d]
+        self.lo = min((v for row in inst.d for v in row), default=Fraction(1))
+        # high[a][j] = [d[a][j] = lo * k]; all 0 when k = 1.
+        self.high = [[int(v != self.lo) for v in row] for row in inst.d]
 
     def leaf_check(self):
         n, m, high = self.n, self.m, self.high
@@ -221,9 +218,7 @@ class _BivaluedSearch(_Pef1Search):
                 options.append([(None, 0, 0, ())])
                 continue
             n_high = sum(high[a][j] for j in b)
-            if self.flat:
-                options.append([(0, size * unit, unit, ())])
-            elif 0 < n_high < size:
+            if 0 < n_high < size:
                 earn = n_high * k_units + (size - n_high) * unit
                 options.append([(0, earn, k_units, tuple(j for j in b if high[a][j]))])
             else:
@@ -305,13 +300,13 @@ def solve_2efx(inst: Instance, budget: int = DEFAULT_BUDGET) -> SolveResult:
 
 
 def _bivalued_candidate(
-    norm: Instance, k: Fraction, lam: Fraction, sol: Pef1Solution, notes
+    inst: Instance, k: Fraction, lam: Fraction, sol: Pef1Solution, notes
 ) -> Optional[SolveResult]:
     """Run one pEF1+MPB candidate through the bivalued pipeline. Returns
-    None when the run loses the MPB condition beyond repair (the caller
-    then tries the next candidate)."""
-    if is_alpha_efx(norm, sol.x, lam):
-        trace = _trivial_trace(norm, sol.x, lam, "weak")
+    None when a Phase-1 pick or a swap breaks MPB under the start's prices
+    (the caller then tries the next candidate)."""
+    if is_alpha_efx(inst, sol.x, lam):
+        trace = _trivial_trace(inst, sol.x, lam, "weak")
         return SolveResult(
             sol.x, trace, "bivalued", prices=sol.p, notes=notes + ["early-exit"]
         )
@@ -323,42 +318,37 @@ def _bivalued_candidate(
     # Unlike the pEF1 rule, compare with k: unrestricted fallback prices
     # need not lie in {1, k}.
     nh = frozenset(i for i, t in enumerate(top) if t >= k)
-    cert = FriendlyCertificate(lam, frozenset(range(norm.n)) - nh, nh, weak=True)
-    x, trace = run_framework(norm, sol.x, cert)
-    prices = sol.p
+    cert = FriendlyCertificate(lam, frozenset(range(inst.n)) - nh, nh, weak=True)
+    x, trace = run_framework(inst, sol.x, cert)
     steps = [trace.phase1]
     for swap in trace.swaps:
         steps.append(chore_swap(steps[-1], *swap))
-    if not all(is_mpb_allocation(norm, step, prices) for step in steps):
-        # A Phase-1 pick or a swap can hand an agent a chore outside her
-        # MPB set when the round-robin tie-break is unlucky; the output
-        # is still PO if the final allocation admits fresh MPB prices.
-        fresh = mpb_price_feasibility(norm, x)
-        if isinstance(fresh, InfeasibilityCycle):
-            return None
-        prices = fresh
-        notes = notes + ["repriced: reallocation broke the maintained MPB prices"]
+    if not all(is_mpb_allocation(inst, step, sol.p) for step in steps):
+        return None
     return SolveResult(
-        x, trace, "bivalued", cert=cert, prices=prices, notes=notes, start=sol.x
+        x, trace, "bivalued", cert=cert, prices=sol.p, notes=notes, start=sol.x
     )
 
 
-def _bivalued_starts(norm: Instance, k: Fraction, budget: int):
+def _bivalued_starts(inst: Instance, k: Fraction, budget: int):
     """Starting points for solve_bivalued, each with the notes it carries:
     the {1,k}-priced pEF1+MPB solutions in lexicographic order or, when
-    there is none, the unrestricted ones."""
+    there is none, the unrestricted ones, searched on the copy with least
+    value 1 because their prices follow the integer rows' scale."""
+    search = _BivaluedSearch(inst, k, budget)
     found = False
-    for sol in _BivaluedSearch(norm, k, budget).iter_solutions():
+    for sol in search.iter_solutions():
         found = True
         yield [], sol
     if not found:
+        norm = inst.scale_rows([1 / search.lo] * inst.n)
         fallback = ["no {1,k}-priced pEF1+MPB solution; unrestricted fallback"]
         for sol in _Pef1Search(norm, budget).iter_solutions():
             yield fallback, sol
 
 
 def solve_bivalued(inst: Instance, budget: int = DEFAULT_BUDGET) -> SolveResult:
-    """(2 - 1/k)-EFX + PO for {1,k}-valued instances, carrying an MPB price
+    """(2 - 1/k)-EFX + PO for {a, a*k}-valued instances, carrying an MPB price
     certificate for the final allocation.
 
     pEF1+MPB starting points are tried in lexicographic order until one
@@ -366,16 +356,15 @@ def solve_bivalued(inst: Instance, budget: int = DEFAULT_BUDGET) -> SolveResult:
     starting point gives the EFX factor, but the round-robin tie-breaks
     can lose the MPB property for some of them. When none of the first
     CANDIDATE_CAP starting points survives, or there is none, it raises
-    PostconditionViolated.
+    PostconditionViolated. The framework, MPB and EFX checks compare each
+    agent's own values, so they run on `inst` as given.
     """
     k = inst.bivalued_k()
     if k is None:
         raise NotBivalued("instance has more than two distinct disutility values")
-    lo = min(v for row in inst.d for v in row) if inst.m else Fraction(1)
-    norm = Instance(tuple(tuple(v / lo for v in row) for row in inst.d))
     lam = 2 - 1 / k
     tried = 0
-    for notes, sol in _bivalued_starts(norm, k, budget):
+    for notes, sol in _bivalued_starts(inst, k, budget):
         tried += 1
         if tried > CANDIDATE_CAP:
             break
@@ -383,7 +372,7 @@ def solve_bivalued(inst: Instance, budget: int = DEFAULT_BUDGET) -> SolveResult:
             notes = notes + [
                 f"skipped {tried - 1} starting points that lost the MPB condition"
             ]
-        res = _bivalued_candidate(norm, k, lam, sol, notes)
+        res = _bivalued_candidate(inst, k, lam, sol, notes)
         if res is not None:
             return res
     raise PostconditionViolated(
@@ -393,10 +382,19 @@ def solve_bivalued(inst: Instance, budget: int = DEFAULT_BUDGET) -> SolveResult:
 
 
 def _round_robin_two_phase(inst: Instance) -> Allocation:
-    """Phase A: agents r..1 (r = m - n) pick their cheapest chore; Phase B:
-    agents 1..n pick again, while chores remain. Ties to the lowest chore index. With
-    m <= n Phase A is empty and each agent gets at most one chore. Picks
-    compare integer rows, positive rescalings of d with the same order."""
+    """Phase A: agents r..1 (r = m - n) pick their cheapest chore, ties to
+    the highest index; Phase B: agents 1..n pick again while chores
+    remain, ties to the lowest index. Picks compare integer rows.
+
+    The residual of agent i <= r is its Phase-A pick a_i: its Phase-B pick
+    b_i was in the pool then, so d_i(a_i) <= d_i(b_i), with b_i the lower
+    index on a tie, and `designated_chore` takes b_i. The framework's
+    Phase 1 thus repeats Phase B, j_i = b_i, and invariant (ii) holds: i
+    swaps only when d_i(b_i) > d_i(X_l) for its cheapest other bundle X_l,
+    and each agent after i holds a Phase-B pick made after b_i, so l is
+    before i. Agents before i hold only chores left when i picked a_i,
+    none cheaper to i than a_i, so hat-d_i(X_l + a_i) = d_i(X_l) < d_i(j_i).
+    """
     n, m = inst.n, inst.m
     rows = inst.integer_rows()
     pool = set(range(m))
@@ -404,7 +402,8 @@ def _round_robin_two_phase(inst: Instance) -> Allocation:
     for i in [*range(m - n - 1, -1, -1), *range(n)]:
         if not pool:
             break
-        j = min(pool, key=lambda c: (rows[i][c], c))
+        tie = -1 if len(pool) > n else 1  # Phase A leaves n chores
+        j = min(pool, key=lambda c: (rows[i][c], tie * c))
         pool.remove(j)
         bundles[i].add(j)
     return allocation_from_bundles(n, m, bundles)

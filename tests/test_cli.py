@@ -130,6 +130,9 @@ def test_solve_auto_picks_small_m(tmp_path, capsys):
 def test_solve_er4_requires_companions(tmp_path, capsys):
     inst = write(tmp_path, "i1.txt", I1)
     assert main(["solve", inst, "--method", "er4"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "choreswap: error: --method er4 requires --alloc and --prices\n"
 
 
 def test_bench_er4_requires_companions(tmp_path, capsys):
@@ -139,7 +142,7 @@ def test_bench_er4_requires_companions(tmp_path, capsys):
     assert main(["bench", str(corpus), "--methods", "auto,er4"]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == "bench: error: --method er4 requires --alloc and --prices\n"
+    assert captured.err == "choreswap: error: --method er4 requires --alloc and --prices\n"
 
 
 def test_solve_bivalued_on_nonbivalued_errors(tmp_path):

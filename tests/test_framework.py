@@ -76,13 +76,15 @@ def _fraction_designated(inst, i, bundle):
 
 
 def _fraction_round_robin(inst):
+    """Phase A ties to the highest chore index, Phase B to the lowest."""
     n, m = inst.n, inst.m
     pool = set(range(m))
     owners = [None] * m
-    for i in [*range(m - n - 1, -1, -1), *range(n)]:
+    phase_a = [(i, -1) for i in range(m - n - 1, -1, -1)]
+    for i, tie in [*phase_a, *((i, 1) for i in range(n))]:
         if not pool:
             break
-        j = min(pool, key=lambda c: (inst.d[i][c], c))
+        j = min(pool, key=lambda c: (inst.d[i][c], tie * c))
         pool.remove(j)
         owners[j] = i
     return Allocation(n, tuple(owners))

@@ -10,6 +10,8 @@ import hashlib
 import random
 from fractions import Fraction
 
+import pytest
+
 from choreswap import (
     Instance,
     generate_random,
@@ -21,10 +23,11 @@ from choreswap import (
 )
 from choreswap.errors import ChoreSwapError
 from choreswap.model import Bivalued, UniformInt
+from choreswap.pipelines import _BivaluedSearch
 
 from conftest import ROUNDED_SHAPES, rounded_fixture
 
-GOLDEN_DIGEST = "5214dfaa7da2c69593c772567153d47b3880200973a17fbf977a28fdb8ef80a0"
+GOLDEN_DIGEST = "09ac0d7af228b314e690396ee31a032de99d602d1761ecb7dd825213ed4b88f4"
 
 
 def _outcome(solve, inst):
@@ -109,3 +112,31 @@ def golden_digest() -> str:
 
 def test_golden_digest():
     assert golden_digest() == GOLDEN_DIGEST
+
+
+@pytest.mark.parametrize("fallback", [False, True])
+def test_solve_bivalued_is_scale_invariant(monkeypatch, fallback):
+    # solve_bivalued runs on the instance as given; only the unrestricted
+    # fallback divides by the least value first, because its prices follow
+    # the integer rows. Either way every output ignores a common factor.
+    # An error is compared by type: a CertificateInvalid message quotes the
+    # instance's own values.
+    if fallback:
+        monkeypatch.setattr(_BivaluedSearch, "iter_solutions", lambda self: iter(()))
+    rng = random.Random(515)
+    runs = 0
+    for t, inst in enumerate(_bivalued_corpus(rng)):
+        if t % 4 == 0:  # the same pattern with values {2/3, 5/3}
+            lo = min((v for row in inst.d for v in row), default=None)
+            inst = Instance(tuple(
+                tuple(Fraction(2, 3) if v == lo else Fraction(5, 3) for v in row)
+                for row in inst.d
+            ))
+        c = Fraction(rng.randint(1, 30), rng.randint(1, 30))
+        base = _outcome(solve_bivalued, inst)
+        scaled = _outcome(solve_bivalued, inst.scale_rows([c] * inst.n))
+        if base[0] == "error":
+            base, scaled = base[:2], scaled[:2]
+        assert base == scaled, (inst.d, c)
+        runs += base[0] == "bivalued" and "early-exit" not in base[4]
+    assert runs >= 4, runs

@@ -235,7 +235,7 @@ def test_allocation_validation():
 
 def test_int_entries_are_stored_exactly():
     # Fraction input is kept as given; ints become Fractions, so quotients
-    # of entries (MPB ratios, bivalued normalization, k) stay exact.
+    # of entries (MPB ratios, k) stay exact.
     rows = ((Fraction(1), Fraction(2)),)
     assert Instance(rows).d is rows
     inst = Instance(((1, 2, 2), (2, 1, 1)))
@@ -247,3 +247,19 @@ def test_int_entries_are_stored_exactly():
     assert is_mpb_allocation(inst, res.x, res.prices)
     big = Instance(((10**17 + 1, 10**17),))
     assert not is_mpb_allocation(big, Allocation(1, (0, 0)), (1, 1))
+
+
+def test_bivalued_k():
+    # Equal values written differently count once.
+    assert parse_instance("2 3\n1/2 2/4 3\n4/8 6/2 3\n").bivalued_k() == 6
+    assert Instance(((2, Fraction(4, 2)), (2, 2))).bivalued_k() == 1
+    # A third value, in any row, is not bivalued.
+    assert Instance(((1, 2), (2, 3))).bivalued_k() is None
+    assert Instance(((1, 1, 1), (1, 2, Fraction(1, 2)))).bivalued_k() is None
+    # k is at least 1 whichever value comes first.
+    rows = [(Fraction(2, 3), Fraction(5, 3)), (Fraction(5, 3), Fraction(2, 3))]
+    for order in (rows, rows[::-1], [r[::-1] for r in rows]):
+        k = Instance(tuple(order)).bivalued_k()
+        assert k == Fraction(5, 2) and type(k) is Fraction
+    assert Instance(((7, 7), (7, 7))).bivalued_k() == 1
+    assert Instance(((), ())).bivalued_k() == 1

@@ -120,6 +120,37 @@ def test_pef1_leaf_matches_fraction_reference():
         assert got == want, (trial, inst.d)
 
 
+def _unpruned_solutions(inst):
+    """Every owner vector in lexicographic order, each decided by the
+    Fraction reference leaf, with no cut."""
+    ref = _ReferencePef1Search(inst, 10**6)
+    out = []
+    for owners in itertools.product(range(inst.n), repeat=inst.m):
+        ref.owners = list(owners)
+        prices = ref.leaf_check()
+        if prices is not None:
+            out.append((owners, prices))
+    return out
+
+
+def test_pef1_pruning_keeps_every_solution():
+    # The 2-cycle cut and the fill rule may only remove subtrees without a
+    # solution. Bivalued rows make 2-cycle products of exactly 1 common.
+    rng = random.Random(4242)
+    few_chores = 0
+    for trial in range(240):
+        n = rng.randint(1, 4)
+        m = rng.randint(0, (7, 7, 5, 4)[n - 1])
+        dist = Bivalued(Fraction(rng.choice((2, 3)))) if trial % 2 else UniformInt(1, 9)
+        inst = generate_random(rng.randrange(1 << 30), n, m, dist)
+        if trial % 3 == 0:
+            inst = inst.scale_rows([Fraction(rng.randint(1, 9), rng.randint(1, 9)) for _ in range(n)])
+        got = [(s.x.owners, s.p) for s in pipelines._Pef1Search(inst, 10**6).iter_solutions()]
+        assert got == _unpruned_solutions(inst), (trial, inst.d)
+        few_chores += m < n
+    assert few_chores > 20, few_chores
+
+
 def test_certificate_from_pef1_i1():
     inst = inst_i1()
     sol = Pef1Solution(Allocation(2, (0, 0, 1)), (Fraction(1), Fraction(1), Fraction(10)))
@@ -242,7 +273,7 @@ def test_bivalued_search_matches_checker_enumeration():
         n = rng.randint(1, 3)
         m = rng.randint(0, 6)
         inst = generate_random(rng.randrange(1 << 30), n, m, Bivalued(rng.choice(ks)))
-        # Normalize as solve_bivalued does: least value 1.
+        # Least value 1, so the checker can price chores at their values.
         lo = min((v for row in inst.d for v in row), default=Fraction(1))
         norm = inst.scale_rows([1 / lo] * n)
         k = norm.bivalued_k()
@@ -298,6 +329,29 @@ def test_solve_small_m_identical_rows():
     inst = make_instance([[1] * 6, [1] * 6, [1] * 6])
     res = solve_small_m(inst)
     assert res.trace.final_factor == Fraction(1, 2)
+
+
+def test_solve_small_m_tie_sweep():
+    # Both reproducers exited 2 while Phase A broke value ties to the lowest
+    # chore index: a tie designated an agent's Phase-A pick, another agent
+    # took it in Phase 1, and a swap then broke invariant (ii). Values 1..3
+    # make such ties common; a failed invariant raises PostconditionViolated.
+    for (n, m, seed), factor in [
+        ((7, 12, 2076572547), Fraction(13, 14)),
+        ((8, 15, 278791719), Fraction(8, 9)),
+    ]:
+        res = solve_small_m(generate_random(seed, n, m, UniformInt(1, 20)))
+        assert (res.trace.final_factor, res.trace.swap_count) == (factor, 1)
+    rng = random.Random(1103)
+    swaps = 0
+    for _ in range(1500):
+        n = rng.randint(3, 8)
+        m = rng.randint(n + 1, 2 * n)
+        inst = generate_random(rng.randrange(1 << 30), n, m, UniformInt(1, 3))
+        res = solve_small_m(inst)
+        assert efx_factor(inst, res.x) <= 1
+        swaps += res.trace.swap_count
+    assert swaps > 20, swaps
 
 
 def test_solve_small_m_rejects_large_m():
