@@ -39,7 +39,7 @@ from .fairness import (
     is_po_bruteforce,
 )
 from .framework import FriendlyCertificate, validate_certificate
-from .market import is_mpb_allocation
+from .market import InfeasibilityCycle, is_mpb_allocation, mpb_price_feasibility
 from .model import (
     INFINITE,
     Allocation,
@@ -118,13 +118,24 @@ def _report_row(
             f"solver {res.trace.final_factor}",
             res.trace,
         )
-    po = is_po_bruteforce(inst, res.x, budget).status
+    po = _po_status(inst, res, budget)
     flags = ";".join(res.notes + res.trace.flags)
     return (
         f"{instance_id},{method},{render_factor(factor)},"
         f"{render_decimal(factor)},{res.trace.swap_count},{res.trace.mode},"
         f"{po},{ms:.3f},{flags}"
     )
+
+
+def _po_status(inst, res: SolveResult, budget: int) -> str:
+    """"po" when res.prices or mpb_price_feasibility make res.x MPB (so fPO,
+    so PO); else, on an empty bundle or a cycle, the brute-force status."""
+    if res.prices is not None and is_mpb_allocation(inst, res.x, res.prices):
+        return "po"
+    if all(res.x.bundles()):  # else mpb_price_feasibility raises EmptyBundle
+        if not isinstance(mpb_price_feasibility(inst, res.x), InfeasibilityCycle):
+            return "po"
+    return is_po_bruteforce(inst, res.x, budget).status
 
 
 def _verify(inst, res: SolveResult) -> bool:

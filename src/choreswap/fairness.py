@@ -55,12 +55,22 @@ def _residual(row, bundle, k: Optional[int] = None):
     return sum(vals[k:])
 
 
-def _envy_terms(rows, bundles, k: Optional[int] = None):
-    """Numerators nums[i] = _residual(rows[i], bundles[i], k) and cross
-    sums cross[i][h] = cost of bundles[h] under rows[i]."""
-    nums = [_residual(row, b, k) for row, b in zip(rows, bundles)]
-    cross = [[sum([row[j] for j in b]) for b in bundles] for row in rows]
-    return nums, cross
+def _cross_sums(rows, X: Allocation):
+    """cross[i][h] = cost of X_h under rows[i], from one pass over the
+    owner vector per row. X must be complete."""
+    _require_complete(X)
+    cross = [[0] * len(rows) for _ in rows]
+    for c, row in zip(cross, rows):
+        for o, v in zip(X.owners, row):
+            c[o] += v
+    return cross
+
+
+def _envy_terms(rows, X: Allocation, k: Optional[int] = None):
+    """Numerators nums[i] = _residual(rows[i], X_i, k) and the cross sums
+    of the complete allocation X."""
+    nums = [_residual(row, b, k) for row, b in zip(rows, X.bundles())]
+    return nums, _cross_sums(rows, X)
 
 
 def _worst_envy(nums, cross, agents=None):
@@ -90,8 +100,7 @@ def _within(worst, lam) -> bool:
 
 def _envy(rows, X: Allocation, k: Optional[int] = None):
     """_worst_envy of the complete allocation X under per-agent cost rows."""
-    _require_complete(X)
-    return _worst_envy(*_envy_terms(rows, X.bundles(), k))
+    return _worst_envy(*_envy_terms(rows, X, k))
 
 
 def efx_factor(inst: Instance, X: Allocation) -> Union[Fraction, object]:
@@ -219,8 +228,7 @@ def envy_report(inst: Instance, X: Allocation, k: Optional[int] = None) -> EnvyR
     """Pairwise envy quantities in the instance's own units; EFX
     worst-removal numerators by default, EFk removal of the k largest
     chores when k is given."""
-    _require_complete(X)
-    nums, cross = _envy_terms(inst.d, X.bundles(), k)
+    nums, cross = _envy_terms(inst.d, X, k)
     notion = "efx" if k is None else f"ef{k}"
     return EnvyReport(
         tuple(

@@ -20,7 +20,7 @@ from .errors import (
     PostconditionViolated,
     SelfSwap,
 )
-from .fairness import _envy_terms, _within, _worst_envy, efx_factor, hat_d
+from .fairness import _cross_sums, _envy_terms, _within, _worst_envy, efx_factor, hat_d
 from .model import Allocation, Instance, bundle_disutility
 
 
@@ -71,7 +71,10 @@ def validate_certificate(
     weak mode uses hat-d on the left and additionally requires, for each
     agent in NH with a non-singleton bundle, that her cheapest bundle
     chore lies in the residual S_i (with global_minimum, that it is also
-    a globally cheapest chore).
+    a globally cheapest chore). X must be complete. A condition compares
+    one left-hand side with coef * v_k over agents k, so all pairs hold iff
+    the tightest does (least v_k if coef >= 0, else greatest), which is
+    compared on integer rows; only if it fails does a Fraction loop report.
     """
     violations: List[Violation] = []
     agents = frozenset(range(inst.n))
@@ -83,53 +86,44 @@ def validate_certificate(
     for i, b in enumerate(bundles):
         if not b:
             raise EmptyBundle(i)
-    desig = [designated_chore(inst, i, bundles[i]) for i in range(inst.n)]
-    residual = [
-        [j for j in bundles[i] if j != desig[i]] for i in range(inst.n)
-    ]
+    rows = inst.integer_rows()
+    scale = [r[0] * v[0].denominator // v[0].numerator for r, v in zip(rows, inst.d)]
+    cross = _cross_sums(rows, X)
+    desig = [designated_chore(inst, i, b) for i, b in enumerate(bundles)]
+    singles = [[j] for j in desig]
+    n0, nh = sorted(cert.n0), sorted(cert.nh)
+    lhs_of = hat_d if cert.weak else bundle_disutility
 
-    def lhs_bundle(i):
-        if cert.weak:
-            return hat_d(inst, i, bundles[i])
-        return bundle_disutility(inst, i, bundles[i])
-
-    def lhs_residual(i):
-        if cert.weak:
-            return hat_d(inst, i, residual[i])
-        return bundle_disutility(inst, i, residual[i])
-
-    for i in sorted(cert.n0):
-        lhs = lhs_bundle(i)
-        for k in sorted(cert.n0):
-            rhs = cert.lam * bundle_disutility(inst, i, bundles[k])
+    def check(cond, i, lhs, coef, others, on_row, chores):
+        """Append a Violation for each k in others with lhs > coef *
+        d_i(chores[k]); on_row[k] is d_i(chores[k]) times scale[i]."""
+        tight = (min if coef >= 0 else max)((on_row[k] for k in others), default=0)
+        if lhs.numerator * scale[i] * coef.denominator <= coef.numerator * tight * lhs.denominator:
+            return
+        for k in others:
+            rhs = coef * bundle_disutility(inst, i, chores[k])
             if lhs > rhs:
-                violations.append(Violation("i", i, k, lhs, rhs))
-        for h in sorted(cert.nh):
-            rhs = cert.lam * inst.d[i][desig[h]]
-            if lhs > rhs:
-                violations.append(Violation("ii", i, h, lhs, rhs))
+                violations.append(Violation(cond, i, k, lhs, rhs))
+
+    for i in n0:
+        lhs = lhs_of(inst, i, bundles[i])
+        check("i", i, lhs, cert.lam, n0, cross[i], bundles)
+        check("ii", i, lhs, cert.lam, nh, [rows[i][j] for j in desig], singles)
     lam1 = cert.lam - 1
-    for i in sorted(cert.nh):
-        lhs = lhs_residual(i)
-        for k in sorted(cert.n0):
-            rhs = lam1 * bundle_disutility(inst, i, bundles[k])
-            if lhs > rhs:
-                violations.append(Violation("iii", i, k, lhs, rhs))
-        for h in sorted(cert.nh):
-            rhs = lam1 * inst.d[i][desig[h]]
-            if lhs > rhs:
-                violations.append(Violation("iv", i, h, lhs, rhs))
-        if cert.weak and residual[i]:
-            bundle_min = min(inst.d[i][j] for j in bundles[i])
-            res_min = min(inst.d[i][j] for j in residual[i])
-            if res_min > bundle_min:
-                violations.append(Violation("bundle-min", i, None, res_min, bundle_min))
-            elif global_minimum:
-                glob = min(inst.d[i])
-                if res_min > glob:
-                    violations.append(
-                        Violation("bundle-min", i, None, res_min, glob)
-                    )
+    for i in nh:
+        residual = [j for j in bundles[i] if j != desig[i]]
+        lhs = lhs_of(inst, i, residual)
+        check("iii", i, lhs, lam1, n0, cross[i], bundles)
+        check("iv", i, lhs, lam1, nh, [rows[i][j] for j in desig], singles)
+        if cert.weak and residual:
+            key = rows[i].__getitem__
+            res_min, low = min(residual, key=key), min(bundles[i], key=key)
+            if global_minimum and key(res_min) <= key(low):
+                low = min(range(inst.m), key=key)
+            if key(res_min) > key(low):
+                violations.append(
+                    Violation("bundle-min", i, None, inst.d[i][res_min], inst.d[i][low])
+                )
     return violations
 
 
@@ -220,12 +214,13 @@ def run_framework(
 
     # Phase 2: chore swaps in pick order. nums and cross change only when
     # a swap does.
-    nums, cross = _envy_terms(rows, X.bundles())
+    nums, cross = _envy_terms(rows, X)
 
     def lam_efx(agents) -> bool:
         return _within(_worst_envy(nums, cross, agents), lam)
 
     swapped = set()
+    inv3 = lam_efx(cert.n0)
     for pos, i in enumerate(order):
         # Invariant (i): agents at or after this position have not swapped.
         inv1 = all(h not in swapped for h in order[pos:])
@@ -234,7 +229,7 @@ def run_framework(
             l = min((h for h in range(inst.n) if h != i), key=lambda h: (cross[i][h], h))
             j_i = picked[i]
             X = chore_swap(X, i, l, j_i)
-            nums, cross = _envy_terms(rows, X.bundles())
+            nums, cross = _envy_terms(rows, X)
             swapped.add(i)
             swapped.add(l)
             trace.swaps.append((i, l, j_i))
@@ -247,8 +242,9 @@ def run_framework(
                 bound_lhs * lam.denominator <= lam.numerator * rows[i][j_i]
             )
             trace.invariants.append((i, "ii", inv2))
-        # Invariant (iii): N0 and the first pos+1 NH agents are lambda-EFX.
-        inv3 = lam_efx(cert.n0 | set(order[: pos + 1]))
+            # A swap changes two bundles; without one, i is lambda-EFX and
+            # invariant (iii) (N0 and NH up to i) carries over from i - 1.
+            inv3 = lam_efx(cert.n0 | set(order[: pos + 1]))
         trace.invariants.append((i, "iii", inv3))
 
     factor = efx_factor(inst, X)

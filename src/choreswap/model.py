@@ -89,8 +89,9 @@ class Instance:
     """A chore division instance: n agents, m chores, strictly positive
     disutility matrix d (n rows, m columns). Entries may be given as ints
     or Fractions; ints are stored as Fractions, so every quotient of two
-    entries is exact. The integer rows are built once, on first use, as
-    tuples, and are not part of equality, hash or repr."""
+    entries is exact. The integer rows are built once, on first use (or
+    by parse_instance for an all-integer file), as tuples, and are not
+    part of equality, hash or repr."""
 
     d: tuple
 
@@ -211,6 +212,7 @@ def parse_instance(text: str) -> Instance:
         return Instance(tuple(() for _ in range(n)))
     if len(rows_in) != n:
         raise RowCountMismatch(f"expected {n} matrix rows, found {len(rows_in)}")
+    values = {}  # one Fraction per distinct token; a bad one raises at once
     rows = []
     for i, (lno, ln) in enumerate(rows_in):
         toks = ln.split()
@@ -218,16 +220,20 @@ def parse_instance(text: str) -> Instance:
             raise RowCountMismatch(
                 f"row {i + 1} has {len(toks)} entries, expected {m}", lno
             )
-        row = []
         for col, tok in enumerate(toks):
-            v = parse_rational(tok, lno, col + 1)
-            if v.numerator <= 0:
-                raise NonPositiveDisutility(
-                    f"disutility must be positive, got {tok}", lno, col + 1
-                )
-            row.append(v)
-        rows.append(tuple(row))
-    return Instance(tuple(rows))
+            if tok not in values:
+                v = parse_rational(tok, lno, col + 1)
+                if v.numerator <= 0:
+                    raise NonPositiveDisutility(
+                        f"disutility must be positive, got {tok}", lno, col + 1
+                    )
+                values[tok] = v
+        rows.append(tuple([values[tok] for tok in toks]))
+    inst = Instance(tuple(rows))
+    if all(v.denominator == 1 for v in values.values()):  # lcm 1: seed the rows
+        ints = tuple([tuple([v.numerator for v in row]) for row in rows])
+        object.__setattr__(inst, "_integer_rows", ints)
+    return inst
 
 
 def serialize_instance(inst: Instance) -> str:

@@ -17,6 +17,7 @@ from typing import List, Optional, Sequence, Tuple
 
 from .errors import (
     BudgetExceeded,
+    CertificateInvalid,
     CouplingUnsatisfiable,
     InvariantViolation,
     NotBivalued,
@@ -303,8 +304,9 @@ def _bivalued_candidate(
     inst: Instance, k: Fraction, lam: Fraction, sol: Pef1Solution, notes
 ) -> Optional[SolveResult]:
     """Run one pEF1+MPB candidate through the bivalued pipeline. Returns
-    None when a Phase-1 pick or a swap breaks MPB under the start's prices
-    (the caller then tries the next candidate)."""
+    None when a Phase-1 pick or a swap breaks MPB under the start's prices,
+    or when fallback prices outside {1, k} give rho >= k or an invalid
+    certificate (the caller then tries the next candidate)."""
     if is_alpha_efx(inst, sol.x, lam):
         trace = _trivial_trace(inst, sol.x, lam, "weak")
         return SolveResult(
@@ -312,6 +314,8 @@ def _bivalued_candidate(
         )
     rho, top = _price_split(sol)
     if not rho < k:
+        if not set(sol.p) <= {1, k}:
+            return None
         raise RhoNotLessThanK(
             f"least earning {rho} >= k = {k} contradicts the bivalued derivation"
         )
@@ -319,7 +323,12 @@ def _bivalued_candidate(
     # need not lie in {1, k}.
     nh = frozenset(i for i, t in enumerate(top) if t >= k)
     cert = FriendlyCertificate(lam, frozenset(range(inst.n)) - nh, nh, weak=True)
-    x, trace = run_framework(inst, sol.x, cert)
+    try:
+        x, trace = run_framework(inst, sol.x, cert)
+    except CertificateInvalid:
+        if set(sol.p) <= {1, k}:
+            raise
+        return None
     steps = [trace.phase1]
     for swap in trace.swaps:
         steps.append(chore_swap(steps[-1], *swap))

@@ -8,7 +8,8 @@ import pytest
 
 import choreswap
 from choreswap import pipelines
-from choreswap.cli import CSV_HEADER, main, render_decimal
+from choreswap.cli import CSV_HEADER, _report_row, main, render_decimal
+from choreswap.model import UniformInt
 from fractions import Fraction
 
 I1 = "2 3\n1 1 10\n1 1 10\n"
@@ -100,6 +101,19 @@ def test_solve_verify_replays_the_trace(tmp_path, capsys, method, text):
     assert captured.out.splitlines()[1].split(",")[1] == method
 
 
+@pytest.mark.parametrize("solve, seed, n, m, po", [
+    (pipelines.solve_2efx, 0, 3, 7, "po"),  # the start's prices are MPB for x
+    (pipelines.solve_small_m, 5, 3, 5, "po"),  # mpb_price_feasibility finds prices
+    (pipelines.solve_small_m, 3, 3, 5, "budget-exceeded"),  # a cycle: brute force
+    (pipelines.solve_small_m, 0, 3, 2, "budget-exceeded"),  # an empty bundle: brute force
+])
+def test_report_row_certifies_po_from_prices(solve, seed, n, m, po):
+    inst = choreswap.generate_random(seed, n, m, UniformInt(1, 20))
+    res = solve(inst)
+    assert choreswap.is_po_bruteforce(inst, res.x, 1).status == "budget-exceeded"
+    assert _report_row("x", "auto", res, inst, 0.0, 1).split(",")[6] == po
+
+
 def test_solve_verify_skips_without_framework(tmp_path, capsys):
     inst = write(tmp_path, "dom.txt", DOM)
     assert main(["solve", inst, "--verify"]) == 0
@@ -173,6 +187,15 @@ def test_check_cert_strict_pass(tmp_path, capsys):
     assert main(["check", inst, "--alloc", alloc, "--cert", cert,
                  "--props", "cert:2:strict"]) == 0
     assert "PASS cert:2:strict" in capsys.readouterr().out
+
+
+def test_check_cert_rejects_unassigned_chore(tmp_path, capsys):
+    inst = write(tmp_path, "i1.txt", I1)
+    alloc = write(tmp_path, "i1.alloc", "1 0 2\n")
+    cert = write(tmp_path, "i1.cert", "2\n")
+    assert main(["check", inst, "--alloc", alloc, "--cert", cert,
+                 "--props", "cert:2:strict"]) == 1
+    assert "unassigned chores" in capsys.readouterr().err
 
 
 def test_check_mpb_requires_prices(tmp_path, capsys):

@@ -19,8 +19,8 @@ from choreswap import (
     is_po_bruteforce,
 )
 from choreswap.errors import IncompleteAllocation
-from choreswap.fairness import PoResult
-from choreswap.model import UniformInt
+from choreswap.fairness import PoResult, _envy_terms
+from choreswap.model import UniformInt, integer_row
 from choreswap.oracle import enumerate_allocations
 
 from conftest import inst_i1, inst_i3, make_instance
@@ -213,3 +213,57 @@ def test_envy_report_csv():
 def test_po_result_shape():
     assert PoResult("po").is_po
     assert not PoResult("dominated").is_po
+
+
+def _naive_terms(rows, x, k):
+    """Per-bundle sums: the worst single removal (k None) or the bundle
+    without its k costliest chores, and every rival bundle's cost."""
+    bundles = x.bundles()
+    nums = []
+    for row, b in zip(rows, bundles):
+        if k is None:
+            nums.append(max((sum(row[h] for h in b if h != j) for j in b), default=0))
+        else:
+            nums.append(sum(sorted((row[j] for j in b), reverse=True)[k:]))
+    return nums, [[sum(row[j] for j in b) for b in bundles] for row in rows]
+
+
+def _naive_csv(inst, x, k):
+    nums, cross = _naive_terms(inst.d, x, k)
+    out = ["i,h,notion,numerator,denominator,ratio"]
+    for i in range(inst.n):
+        for h in range(inst.n):
+            if h != i:
+                a, b = nums[i], cross[i][h]
+                ratio = 0 if a == 0 else INFINITE if b == 0 else Fraction(a, b)
+                notion = "efx" if k is None else f"ef{k}"
+                out.append(f"{i + 1},{h + 1},{notion},{a},{b},{ratio}")
+    return "\n".join(out) + "\n"
+
+
+def test_envy_terms_match_per_bundle_sums():
+    # Integer rows, price rows (is_pefk) and Fraction rows (envy_report),
+    # on allocations that often leave a bundle empty.
+    rng = random.Random(61)
+    empty = 0
+    for trial in range(300):
+        n = rng.randint(1, 4)
+        m = rng.randint(0, 7)
+        inst = generate_random(trial, n, m, UniformInt(1, 9))
+        if trial % 2:
+            inst = inst.scale_rows([Fraction(rng.randint(1, 9), rng.randint(1, 9)) for _ in range(n)])
+        x = Allocation(n, tuple(rng.randrange(n) for _ in range(m)))
+        empty += not all(x.bundles())
+        p = tuple(Fraction(rng.randint(1, 9), rng.randint(1, 4)) for _ in range(m))
+        alpha = Fraction(rng.randint(0, 30), 10)
+        for k in (None, 1, 2, 3):
+            for rows in (inst.integer_rows(), [integer_row(p)] * n, inst.d):
+                assert _envy_terms(rows, x, k) == _naive_terms(rows, x, k)
+            assert envy_report(inst, x, k).to_csv() == _naive_csv(inst, x, k)
+            if k is not None:
+                nums, cross = _naive_terms([p] * n, x, k)
+                want = all(
+                    nums[i] <= alpha * cross[i][h] for i in range(n) for h in range(n) if h != i
+                )
+                assert is_pefk(inst, x, p, alpha, k) == want
+    assert empty > 50, empty

@@ -2,15 +2,20 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from choreswap import (
     Allocation,
     FriendlyCertificate,
+    Instance,
+    bundle_disutility,
     chore_swap,
     designated_chore,
     efx_factor,
     generate_random,
     generate_valid_certificate,
+    hat_d,
     run_framework,
     validate_certificate,
 )
@@ -18,9 +23,11 @@ from choreswap.errors import (
     CertificateInvalid,
     ChoreNotHeld,
     EmptyBundle,
+    IncompleteAllocation,
     PostconditionViolated,
     SelfSwap,
 )
+from choreswap.framework import Violation
 from choreswap.model import UniformInt
 from choreswap.oracle import CertificateBounds
 from choreswap.pipelines import _round_robin_two_phase
@@ -59,6 +66,8 @@ def test_validate_partition_and_empty_bundle():
         validate_certificate(inst_i1(), x, cert(2, {0}, {0, 1}))
     with pytest.raises(EmptyBundle):
         validate_certificate(inst_i1(), Allocation(2, (0, 0, 0)), cert(2, {0}, {1}))
+    with pytest.raises(IncompleteAllocation):
+        validate_certificate(inst_i1(), Allocation(2, (0, None, 1)), cert(2, {0}, {1}))
 
 
 def test_designated_chore_tie_break():
@@ -232,3 +241,85 @@ def test_certificate_and_run_are_row_scale_invariant():
         valid += not before
         assert _run_outcome(inst, y, c) == _run_outcome(scaled, y, c), (inst.d, y, c)
     assert 300 <= valid < 900
+
+
+def _pairwise_validate(inst, x, c, global_minimum=False):
+    """Reference: every certificate inequality compared pair by pair in
+    Fraction, with the Fraction designated chore."""
+    violations = []
+    bundles = x.bundles()
+    desig = [_fraction_designated(inst, i, b) for i, b in enumerate(bundles)]
+    residual = [[j for j in b if j != desig[i]] for i, b in enumerate(bundles)]
+    lhs_of = hat_d if c.weak else bundle_disutility
+    for i in sorted(c.n0):
+        lhs = lhs_of(inst, i, bundles[i])
+        for k in sorted(c.n0):
+            rhs = c.lam * bundle_disutility(inst, i, bundles[k])
+            if lhs > rhs:
+                violations.append(Violation("i", i, k, lhs, rhs))
+        for h in sorted(c.nh):
+            rhs = c.lam * inst.d[i][desig[h]]
+            if lhs > rhs:
+                violations.append(Violation("ii", i, h, lhs, rhs))
+    lam1 = c.lam - 1
+    for i in sorted(c.nh):
+        lhs = lhs_of(inst, i, residual[i])
+        for k in sorted(c.n0):
+            rhs = lam1 * bundle_disutility(inst, i, bundles[k])
+            if lhs > rhs:
+                violations.append(Violation("iii", i, k, lhs, rhs))
+        for h in sorted(c.nh):
+            rhs = lam1 * inst.d[i][desig[h]]
+            if lhs > rhs:
+                violations.append(Violation("iv", i, h, lhs, rhs))
+        if c.weak and residual[i]:
+            bundle_min = min(inst.d[i][j] for j in bundles[i])
+            res_min = min(inst.d[i][j] for j in residual[i])
+            if res_min > bundle_min:
+                violations.append(Violation("bundle-min", i, None, res_min, bundle_min))
+            elif global_minimum and res_min > min(inst.d[i]):
+                violations.append(Violation("bundle-min", i, None, res_min, min(inst.d[i])))
+    return violations
+
+
+LAMS = [Fraction(v) for v in ("-1", "0", "1/2", "1", "3/2", "2", "4")]
+
+
+@st.composite
+def certificate_triples(draw):
+    """(instance, complete allocation without empty bundles, certificate,
+    global_minimum). Small values make ties in bundles and designated
+    chores common."""
+    n = draw(st.integers(1, 4))
+    m = draw(st.integers(n, 8))
+    value = st.builds(Fraction, st.integers(1, 6), st.sampled_from([1, 1, 2, 3]))
+    rows = draw(st.lists(st.lists(value, min_size=m, max_size=m), min_size=n, max_size=n))
+    extra = draw(st.lists(st.integers(0, n - 1), min_size=m - n, max_size=m - n))
+    owners = draw(st.permutations(list(range(n)) + extra))
+    nh = draw(st.frozensets(st.integers(0, n - 1)))
+    c = FriendlyCertificate(
+        draw(st.sampled_from(LAMS)), frozenset(range(n)) - nh, nh, draw(st.booleans())
+    )
+    inst = Instance(tuple(tuple(row) for row in rows))
+    return inst, Allocation(n, tuple(owners)), c, draw(st.booleans())
+
+
+def test_validate_certificate_matches_pairwise_reference():
+    seen = []
+
+    @settings(max_examples=300, derandomize=True, database=None, deadline=None)
+    @given(certificate_triples())
+    def check(triple):
+        inst, x, c, glob = triple
+        want = _pairwise_validate(inst, x, c, glob)
+        got = validate_certificate(inst, x, c, glob)
+        assert got == want
+        assert [str(v) for v in got] == [str(v) for v in want]
+        seen.append((c.lam, c.weak, glob, bool(want)))
+
+    check()
+    assert {s[:2] for s in seen} == {(lam, weak) for lam in LAMS for weak in (False, True)}
+    assert {s[2] for s in seen} == {False, True}
+    # Both outcomes are common: most of the 300 cases have a violation.
+    with_violations = sum(s[3] for s in seen)
+    assert len(seen) // 2 <= with_violations <= len(seen) - len(seen) // 10, with_violations

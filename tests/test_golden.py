@@ -14,7 +14,9 @@ import pytest
 
 from choreswap import (
     Instance,
+    efx_factor,
     generate_random,
+    is_mpb_allocation,
     solve_2efx,
     solve_4efx,
     solve_bivalued,
@@ -140,3 +142,20 @@ def test_solve_bivalued_is_scale_invariant(monkeypatch, fallback):
         assert base == scaled, (inst.d, c)
         runs += base[0] == "bivalued" and "early-exit" not in base[4]
     assert runs >= 4, runs
+
+
+def test_bivalued_fallback_skips_starts_outside_1_k(monkeypatch):
+    # Unrestricted fallback prices need not lie in {1, k}, so a start can
+    # give a least earning >= k or an invalid certificate. Such a start is
+    # skipped like one that loses MPB; it does not end the run.
+    monkeypatch.setattr(_BivaluedSearch, "iter_solutions", lambda self: iter(()))
+    rng = random.Random(20261018)  # golden_records' corpus order
+    for _ in _pef1_corpus(rng):
+        pass
+    skipped = 0
+    for inst in _bivalued_corpus(rng):
+        res = solve_bivalued(inst)  # without the skip, 5 of these raise
+        skipped += any(note.startswith("skipped") for note in res.notes)
+        assert efx_factor(inst, res.x) <= 2 - 1 / inst.bivalued_k()
+        assert is_mpb_allocation(inst, res.x, res.prices)
+    assert skipped >= 5, skipped

@@ -23,6 +23,7 @@ from choreswap import (
 from choreswap.errors import (
     AgentOutOfRange,
     BadRational,
+    ParseError,
     ChoreOutOfRange,
     InvalidDistribution,
     NonPositiveDisutility,
@@ -207,6 +208,46 @@ def test_integer_rows_cached_and_outside_identity():
         assert all(type(v) is int for r in rows for v in r)
         assert [list(r) for r in rows] == [integer_row(r) for r in inst.d]
         assert inst == twin and (hash(inst), repr(inst)) == before == (hash(twin), repr(twin))
+
+
+@pytest.mark.parametrize("kind", ["integer", "fractional", "mixed"])
+def test_parsed_integer_rows_match_integer_row(kind):
+    # The parser seeds the integer rows of an all-integer file; each value
+    # comes in several spellings, which the token cache keeps apart.
+    rng = random.Random(f"parse-{kind}")
+
+    def token():
+        v = rng.randint(1, 20)
+        if kind == "fractional" or (kind == "mixed" and rng.random() < 0.3):
+            return f"{v}/{rng.randint(2, 12)}"
+        return rng.choice([str(v), f"+{v}", f"0{v}", f"{2 * v}/2"])
+
+    for _ in range(100):
+        n, m = rng.randint(1, 5), rng.randint(1, 8)
+        text = f"{n} {m}\n" + "".join(
+            " ".join(token() for _ in range(m)) + "\n" for _ in range(n)
+        )
+        inst = parse_instance(text)
+        integral = all(v.denominator == 1 for row in inst.d for v in row)
+        assert ("_integer_rows" in vars(inst)) == integral
+        rows = inst.integer_rows()
+        assert rows == tuple(tuple(integer_row(r)) for r in inst.d)
+        assert all(type(r) is tuple for r in rows)
+        assert all(type(v) is int for r in rows for v in r)
+        assert inst == Instance(inst.d) and hash(inst) == hash(Instance(inst.d))
+
+
+@pytest.mark.parametrize("text, error, line, col", [
+    ("2 3\n1 x 2\n3 x 4\n", BadRational, 2, 2),
+    ("# c\n2 3\n1 2 3\n3 0 0\n", NonPositiveDisutility, 4, 2),
+    ("2 2\n1 2\n2 1/0\n", BadRational, 3, 2),
+    ("2 2\n5 -1\n-1 5\n", NonPositiveDisutility, 2, 2),
+])
+def test_repeated_bad_token_reports_first_place(text, error, line, col):
+    with pytest.raises(error) as info:
+        parse_instance(text)
+    assert isinstance(info.value, ParseError)
+    assert (info.value.line, info.value.col) == (line, col)
 
 
 def test_exact_arithmetic_identity():
