@@ -140,9 +140,7 @@ def _po_status(inst, res: SolveResult, budget: int) -> str:
 
 def _verify(inst, res: SolveResult) -> bool:
     """Replay the run through the independent verify_trace; False when no
-    framework ran. The bivalued run is replayed on inst: its 1/lo
-    normalization is one uniform scale, which changes no pick, swap or
-    factor."""
+    framework ran."""
     if res.start is None:
         return False
     try:
@@ -186,6 +184,10 @@ def _require_er4_inputs(methods, args):
 
 
 def cmd_gen(args) -> int:
+    if args.m < 0:
+        raise ChoreSwapError(f"--m must be at least 0, got {args.m}")
+    if args.count < 1:
+        raise ChoreSwapError(f"--count must be at least 1, got {args.count}")
     dist = parse_distribution(args.dist)
     for idx in range(args.count):
         seed = args.seed + idx

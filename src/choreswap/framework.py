@@ -60,18 +60,14 @@ class Violation:
 
 
 def validate_certificate(
-    inst: Instance,
-    X: Allocation,
-    cert: FriendlyCertificate,
-    global_minimum: bool = False,
+    inst: Instance, X: Allocation, cert: FriendlyCertificate
 ) -> List[Violation]:
     """Check every certificate inequality exactly; empty list means Valid.
 
     Strict mode checks the four friendly conditions with d_i on the left;
     weak mode uses hat-d on the left and additionally requires, for each
     agent in NH with a non-singleton bundle, that her cheapest bundle
-    chore lies in the residual S_i (with global_minimum, that it is also
-    a globally cheapest chore). X must be complete. A condition compares
+    chore lies in the residual S_i. X must be complete. A condition compares
     one left-hand side with coef * v_k over agents k, so all pairs hold iff
     the tightest does (least v_k if coef >= 0, else greatest), which is
     compared on integer rows; only if it fails does a Fraction loop report.
@@ -118,8 +114,6 @@ def validate_certificate(
         if cert.weak and residual:
             key = rows[i].__getitem__
             res_min, low = min(residual, key=key), min(bundles[i], key=key)
-            if global_minimum and key(res_min) <= key(low):
-                low = min(range(inst.m), key=key)
             if key(res_min) > key(low):
                 violations.append(
                     Violation("bundle-min", i, None, inst.d[i][res_min], inst.d[i][low])

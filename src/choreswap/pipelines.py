@@ -17,7 +17,6 @@ from typing import List, Optional, Sequence, Tuple
 
 from .errors import (
     BudgetExceeded,
-    CertificateInvalid,
     CouplingUnsatisfiable,
     InvariantViolation,
     NotBivalued,
@@ -201,9 +200,9 @@ class _BivaluedSearch(_Pef1Search):
         super().__init__(inst, budget)
         self.k = k
         self.unit, self.k_units = k.denominator, k.numerator
-        self.lo = min((v for row in inst.d for v in row), default=Fraction(1))
+        lo = min((v for row in inst.d for v in row), default=Fraction(1))
         # high[a][j] = [d[a][j] = lo * k]; all 0 when k = 1.
-        self.high = [[int(v != self.lo) for v in row] for row in inst.d]
+        self.high = [[int(v != lo) for v in row] for row in inst.d]
 
     def leaf_check(self):
         n, m, high = self.n, self.m, self.high
@@ -258,8 +257,8 @@ def _is_pef1(combo) -> bool:
 
 
 def _price_split(sol: Pef1Solution) -> Tuple[Fraction, List[Fraction]]:
-    """The least earning rho and, per bundle, its highest price. Both
-    certificate rules put an agent in N_H by comparing the two."""
+    """The least earning rho and, per bundle, its highest price: what both
+    certificate rules read to put agents in N_H."""
     bundles = sol.x.bundles()
     rho = min(sum((sol.p[j] for j in b), Fraction(0)) for b in bundles)
     return rho, [max(sol.p[j] for j in b) for b in bundles]
@@ -303,10 +302,9 @@ def solve_2efx(inst: Instance, budget: int = DEFAULT_BUDGET) -> SolveResult:
 def _bivalued_candidate(
     inst: Instance, k: Fraction, lam: Fraction, sol: Pef1Solution, notes
 ) -> Optional[SolveResult]:
-    """Run one pEF1+MPB candidate through the bivalued pipeline. Returns
-    None when a Phase-1 pick or a swap breaks MPB under the start's prices,
-    or when fallback prices outside {1, k} give rho >= k or an invalid
-    certificate (the caller then tries the next candidate)."""
+    """Run one {1,k}-priced pEF1+MPB candidate through the bivalued
+    pipeline. Returns None when a Phase-1 pick or a swap breaks MPB under
+    the start's prices (the caller then tries the next candidate)."""
     if is_alpha_efx(inst, sol.x, lam):
         trace = _trivial_trace(inst, sol.x, lam, "weak")
         return SolveResult(
@@ -314,21 +312,13 @@ def _bivalued_candidate(
         )
     rho, top = _price_split(sol)
     if not rho < k:
-        if not set(sol.p) <= {1, k}:
-            return None
         raise RhoNotLessThanK(
             f"least earning {rho} >= k = {k} contradicts the bivalued derivation"
         )
-    # Unlike the pEF1 rule, compare with k: unrestricted fallback prices
-    # need not lie in {1, k}.
+    # Prices lie in {1, k}: N_H holds the agents with a chore priced k.
     nh = frozenset(i for i, t in enumerate(top) if t >= k)
     cert = FriendlyCertificate(lam, frozenset(range(inst.n)) - nh, nh, weak=True)
-    try:
-        x, trace = run_framework(inst, sol.x, cert)
-    except CertificateInvalid:
-        if set(sol.p) <= {1, k}:
-            raise
-        return None
+    x, trace = run_framework(inst, sol.x, cert)
     steps = [trace.phase1]
     for swap in trace.swaps:
         steps.append(chore_swap(steps[-1], *swap))
@@ -339,32 +329,14 @@ def _bivalued_candidate(
     )
 
 
-def _bivalued_starts(inst: Instance, k: Fraction, budget: int):
-    """Starting points for solve_bivalued, each with the notes it carries:
-    the {1,k}-priced pEF1+MPB solutions in lexicographic order or, when
-    there is none, the unrestricted ones, searched on the copy with least
-    value 1 because their prices follow the integer rows' scale."""
-    search = _BivaluedSearch(inst, k, budget)
-    found = False
-    for sol in search.iter_solutions():
-        found = True
-        yield [], sol
-    if not found:
-        norm = inst.scale_rows([1 / search.lo] * inst.n)
-        fallback = ["no {1,k}-priced pEF1+MPB solution; unrestricted fallback"]
-        for sol in _Pef1Search(norm, budget).iter_solutions():
-            yield fallback, sol
-
-
 def solve_bivalued(inst: Instance, budget: int = DEFAULT_BUDGET) -> SolveResult:
     """(2 - 1/k)-EFX + PO for {a, a*k}-valued instances, carrying an MPB price
     certificate for the final allocation.
 
-    pEF1+MPB starting points are tried in lexicographic order until one
-    survives the swap framework with Pareto optimality intact; any valid
-    starting point gives the EFX factor, but the round-robin tie-breaks
-    can lose the MPB property for some of them. When none of the first
-    CANDIDATE_CAP starting points survives, or there is none, it raises
+    {1,k}-priced pEF1+MPB starts are tried in lexicographic order until one
+    keeps the MPB property, and so PO, through the swap framework: any start
+    gives the EFX factor, but round-robin tie-breaks can lose MPB. With no
+    start, or none of the first CANDIDATE_CAP surviving, it raises
     PostconditionViolated. The framework, MPB and EFX checks compare each
     agent's own values, so they run on `inst` as given.
     """
@@ -373,20 +345,18 @@ def solve_bivalued(inst: Instance, budget: int = DEFAULT_BUDGET) -> SolveResult:
         raise NotBivalued("instance has more than two distinct disutility values")
     lam = 2 - 1 / k
     tried = 0
-    for notes, sol in _bivalued_starts(inst, k, budget):
+    for sol in _BivaluedSearch(inst, k, budget).iter_solutions():
         tried += 1
         if tried > CANDIDATE_CAP:
             break
-        if tried > 1:
-            notes = notes + [
-                f"skipped {tried - 1} starting points that lost the MPB condition"
-            ]
-        res = _bivalued_candidate(inst, k, lam, sol, notes)
+        skipped = [f"skipped {tried - 1} starting points that lost the MPB condition"]
+        res = _bivalued_candidate(inst, k, lam, sol, skipped if tried > 1 else [])
         if res is not None:
             return res
     raise PostconditionViolated(
         "no pEF1+MPB starting point yields a PO outcome within budget "
-        f"(tried {tried}; existence finding)" if tried else NO_PEF1_MPB
+        f"(tried {tried}; existence finding)" if tried
+        else "no {1,k}-priced pEF1+MPB allocation found within budget (existence finding)"
     )
 
 

@@ -51,6 +51,19 @@ def test_gen_rejects_low_bound(capsys):
                  "--dist", "uniform-int:0..5"]) == 1
 
 
+@pytest.mark.parametrize(
+    "size", [["--m", "-3"], ["--m", "3", "--count", "0"]], ids=["negative-m", "zero-count"]
+)
+def test_gen_rejects_bad_sizes(tmp_path, capsys, size):
+    out = tmp_path / "corpus"
+    assert main(["gen", "--n", "2", *size, "--seed", "1",
+                 "--dist", "uniform-int:1..5", "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("choreswap: error: ")
+    assert not out.exists()
+
+
 def test_gen_count_directory(tmp_path):
     out = tmp_path / "corpus"
     assert main(["gen", "--n", "2", "--m", "3", "--seed", "5", "--count", "3",

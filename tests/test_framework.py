@@ -232,18 +232,17 @@ def test_certificate_and_run_are_row_scale_invariant():
         scaled = inst.scale_rows(
             [Fraction(rng.randint(1, 60), rng.randint(1, 60)) for _ in range(inst.n)]
         )
-        for glob in (False, True):
-            before, after = (
-                [(v.condition, v.agent, v.other) for v in validate_certificate(a, y, c, glob)]
-                for a in (inst, scaled)
-            )
-            assert before == after, (inst.d, y, c)
+        before, after = (
+            [(v.condition, v.agent, v.other) for v in validate_certificate(a, y, c)]
+            for a in (inst, scaled)
+        )
+        assert before == after, (inst.d, y, c)
         valid += not before
         assert _run_outcome(inst, y, c) == _run_outcome(scaled, y, c), (inst.d, y, c)
     assert 300 <= valid < 900
 
 
-def _pairwise_validate(inst, x, c, global_minimum=False):
+def _pairwise_validate(inst, x, c):
     """Reference: every certificate inequality compared pair by pair in
     Fraction, with the Fraction designated chore."""
     violations = []
@@ -277,8 +276,6 @@ def _pairwise_validate(inst, x, c, global_minimum=False):
             res_min = min(inst.d[i][j] for j in residual[i])
             if res_min > bundle_min:
                 violations.append(Violation("bundle-min", i, None, res_min, bundle_min))
-            elif global_minimum and res_min > min(inst.d[i]):
-                violations.append(Violation("bundle-min", i, None, res_min, min(inst.d[i])))
     return violations
 
 
@@ -287,9 +284,8 @@ LAMS = [Fraction(v) for v in ("-1", "0", "1/2", "1", "3/2", "2", "4")]
 
 @st.composite
 def certificate_triples(draw):
-    """(instance, complete allocation without empty bundles, certificate,
-    global_minimum). Small values make ties in bundles and designated
-    chores common."""
+    """(instance, complete allocation without empty bundles, certificate).
+    Small values make ties in bundles and designated chores common."""
     n = draw(st.integers(1, 4))
     m = draw(st.integers(n, 8))
     value = st.builds(Fraction, st.integers(1, 6), st.sampled_from([1, 1, 2, 3]))
@@ -301,7 +297,7 @@ def certificate_triples(draw):
         draw(st.sampled_from(LAMS)), frozenset(range(n)) - nh, nh, draw(st.booleans())
     )
     inst = Instance(tuple(tuple(row) for row in rows))
-    return inst, Allocation(n, tuple(owners)), c, draw(st.booleans())
+    return inst, Allocation(n, tuple(owners)), c
 
 
 def test_validate_certificate_matches_pairwise_reference():
@@ -310,16 +306,15 @@ def test_validate_certificate_matches_pairwise_reference():
     @settings(max_examples=300, derandomize=True, database=None, deadline=None)
     @given(certificate_triples())
     def check(triple):
-        inst, x, c, glob = triple
-        want = _pairwise_validate(inst, x, c, glob)
-        got = validate_certificate(inst, x, c, glob)
+        inst, x, c = triple
+        want = _pairwise_validate(inst, x, c)
+        got = validate_certificate(inst, x, c)
         assert got == want
         assert [str(v) for v in got] == [str(v) for v in want]
-        seen.append((c.lam, c.weak, glob, bool(want)))
+        seen.append((c.lam, c.weak, bool(want)))
 
     check()
     assert {s[:2] for s in seen} == {(lam, weak) for lam in LAMS for weak in (False, True)}
-    assert {s[2] for s in seen} == {False, True}
     # Both outcomes are common: most of the 300 cases have a violation.
-    with_violations = sum(s[3] for s in seen)
+    with_violations = sum(s[2] for s in seen)
     assert len(seen) // 2 <= with_violations <= len(seen) - len(seen) // 10, with_violations

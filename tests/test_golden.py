@@ -10,13 +10,9 @@ import hashlib
 import random
 from fractions import Fraction
 
-import pytest
-
 from choreswap import (
     Instance,
-    efx_factor,
     generate_random,
-    is_mpb_allocation,
     solve_2efx,
     solve_4efx,
     solve_bivalued,
@@ -25,7 +21,6 @@ from choreswap import (
 )
 from choreswap.errors import ChoreSwapError
 from choreswap.model import Bivalued, UniformInt
-from choreswap.pipelines import _BivaluedSearch
 
 from conftest import ROUNDED_SHAPES, rounded_fixture
 
@@ -116,15 +111,10 @@ def test_golden_digest():
     assert golden_digest() == GOLDEN_DIGEST
 
 
-@pytest.mark.parametrize("fallback", [False, True])
-def test_solve_bivalued_is_scale_invariant(monkeypatch, fallback):
-    # solve_bivalued runs on the instance as given; only the unrestricted
-    # fallback divides by the least value first, because its prices follow
-    # the integer rows. Either way every output ignores a common factor.
-    # An error is compared by type: a CertificateInvalid message quotes the
-    # instance's own values.
-    if fallback:
-        monkeypatch.setattr(_BivaluedSearch, "iter_solutions", lambda self: iter(()))
+def test_solve_bivalued_is_scale_invariant():
+    # solve_bivalued runs on the instance as given, so every output ignores
+    # a common factor. An error is compared by type: a CertificateInvalid
+    # message quotes the instance's own values.
     rng = random.Random(515)
     runs = 0
     for t, inst in enumerate(_bivalued_corpus(rng)):
@@ -142,20 +132,3 @@ def test_solve_bivalued_is_scale_invariant(monkeypatch, fallback):
         assert base == scaled, (inst.d, c)
         runs += base[0] == "bivalued" and "early-exit" not in base[4]
     assert runs >= 4, runs
-
-
-def test_bivalued_fallback_skips_starts_outside_1_k(monkeypatch):
-    # Unrestricted fallback prices need not lie in {1, k}, so a start can
-    # give a least earning >= k or an invalid certificate. Such a start is
-    # skipped like one that loses MPB; it does not end the run.
-    monkeypatch.setattr(_BivaluedSearch, "iter_solutions", lambda self: iter(()))
-    rng = random.Random(20261018)  # golden_records' corpus order
-    for _ in _pef1_corpus(rng):
-        pass
-    skipped = 0
-    for inst in _bivalued_corpus(rng):
-        res = solve_bivalued(inst)  # without the skip, 5 of these raise
-        skipped += any(note.startswith("skipped") for note in res.notes)
-        assert efx_factor(inst, res.x) <= 2 - 1 / inst.bivalued_k()
-        assert is_mpb_allocation(inst, res.x, res.prices)
-    assert skipped >= 5, skipped

@@ -284,27 +284,33 @@ def test_bivalued_search_matches_checker_enumeration():
         assert found == _checker_bivalued_solutions(norm, k), (trial, norm.d)
 
 
-def test_solve_bivalued_unrestricted_fallback(monkeypatch):
-    # No {1,k}-priced start, and the first unrestricted start is rejected,
-    # so the fallback runs through the same loop and notes as the main path.
-    inst = make_instance([[1, 1, 2], [1, 1, 2]])
+def test_solve_bivalued_raises_without_start(monkeypatch):
     monkeypatch.setattr(_BivaluedSearch, "iter_solutions", lambda self: iter(()))
-    candidate = pipelines._bivalued_candidate
-    calls = []
+    with pytest.raises(PostconditionViolated) as e:
+        solve_bivalued(make_instance([[1, 1, 2], [1, 1, 2]]))
+    assert str(e.value) == (
+        "no {1,k}-priced pEF1+MPB allocation found within budget (existence finding)"
+    )
+    assert e.value.trace is None
 
-    def lose_first(*args):
-        calls.append(args)
-        return None if len(calls) == 1 else candidate(*args)
 
-    monkeypatch.setattr(pipelines, "_bivalued_candidate", lose_first)
-    res = solve_bivalued(inst)
-    assert res.notes[:2] == [
-        "no {1,k}-priced pEF1+MPB solution; unrestricted fallback",
-        "skipped 1 starting points that lost the MPB condition",
+def test_every_small_bivalued_matrix_has_a_1_k_start():
+    # solve_bivalued has no start other than the {1,k}-priced search, so
+    # every {1,k} matrix needs one: here all of them over {1, 5/2} with
+    # n = 2, m <= 6 and n = 3, m <= 4, plus the single-valued shapes.
+    k = Fraction(5, 2)
+    shapes = [(2, m) for m in range(1, 7)] + [(3, m) for m in range(1, 5)]
+    instances = [
+        Instance(tuple(cells[i * m : (i + 1) * m] for i in range(n)))
+        for n, m in shapes
+        for cells in itertools.product((Fraction(1), k), repeat=n * m)
     ]
-    assert efx_factor(inst, res.x) <= Fraction(3, 2)
-    assert is_mpb_allocation(inst, res.x, res.prices)
-    assert is_po_bruteforce(inst, res.x).is_po
+    instances += [make_instance([[3] * m] * n) for n in range(1, 6) for m in range(1, 9)]
+    assert len(instances) == 10180
+    for inst in instances:
+        k_inst = inst.bivalued_k()
+        sol = next(_BivaluedSearch(inst, k_inst, 10**6).iter_solutions(), None)
+        assert sol is not None and set(sol.p) <= {1, k_inst}, inst.d
 
 
 def test_solve_bivalued_rejects_three_values():
