@@ -58,7 +58,6 @@ from .oracle import (
     best_efx_factor,
     enumerate_allocations,
     generate_valid_certificate,
-    pef1_mpb_exists,
     verify_trace,
 )
 from .pipelines import (
@@ -111,7 +110,6 @@ __all__ = [
     "parse_instance",
     "parse_prices",
     "parse_rational",
-    "pef1_mpb_exists",
     "run_framework",
     "search_pef1_mpb",
     "serialize_allocation",

@@ -17,15 +17,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence, Union
 
-from .errors import IncompleteAllocation, PriceLengthMismatch
+from .errors import PriceLengthMismatch
 from .model import INFINITE, Allocation, Instance, bundle_disutility, integer_row
 
 DEFAULT_BUDGET = 1 << 22
-
-
-def _require_complete(X: Allocation):
-    if not X.complete:
-        raise IncompleteAllocation("allocation has unassigned chores")
 
 
 def _require_prices(inst: Instance, p: Sequence[Fraction]):
@@ -57,8 +52,9 @@ def _residual(row, bundle, k: Optional[int] = None):
 
 def _cross_sums(rows, X: Allocation):
     """cross[i][h] = cost of X_h under rows[i], from one pass over the
-    owner vector per row. X must be complete."""
-    _require_complete(X)
+    owner vector per row. X must allocate the len(rows[0]) chores among
+    the len(rows) agents."""
+    X.check_shape(len(rows), len(rows[0]))
     cross = [[0] * len(rows) for _ in rows]
     for c, row in zip(cross, rows):
         for o, v in zip(X.owners, row):
@@ -68,9 +64,9 @@ def _cross_sums(rows, X: Allocation):
 
 def _envy_terms(rows, X: Allocation, k: Optional[int] = None):
     """Numerators nums[i] = _residual(rows[i], X_i, k) and the cross sums
-    of the complete allocation X."""
-    nums = [_residual(row, b, k) for row, b in zip(rows, X.bundles())]
-    return nums, _cross_sums(rows, X)
+    of X (whose shape the cross sums check first)."""
+    cross = _cross_sums(rows, X)
+    return [_residual(row, b, k) for row, b in zip(rows, X.bundles())], cross
 
 
 def _worst_envy(nums, cross, agents=None):
@@ -99,7 +95,7 @@ def _within(worst, lam) -> bool:
 
 
 def _envy(rows, X: Allocation, k: Optional[int] = None):
-    """_worst_envy of the complete allocation X under per-agent cost rows."""
+    """_worst_envy of the allocation X under per-agent cost rows."""
     return _worst_envy(*_envy_terms(rows, X, k))
 
 
@@ -121,7 +117,6 @@ def is_alpha_efk(inst: Instance, X: Allocation, alpha: Fraction, k: int) -> bool
 
 
 def _price_envy(inst: Instance, X: Allocation, p: Sequence[Fraction], k: Optional[int]):
-    _require_complete(X)
     _require_prices(inst, p)
     return _envy([integer_row(p)] * inst.n, X, k)
 
@@ -155,7 +150,7 @@ def is_po_bruteforce(
 ) -> PoResult:
     """Exhaustive Pareto check: first dominating allocation in owner-vector
     lexicographic order, or PO. Intended for n^m <= budget."""
-    _require_complete(X)
+    X.check_shape(inst.n, inst.m)
     n, m = inst.n, inst.m
     if n**m > budget:
         return PoResult("budget-exceeded")

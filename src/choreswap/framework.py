@@ -67,9 +67,9 @@ def validate_certificate(
     Strict mode checks the four friendly conditions with d_i on the left;
     weak mode uses hat-d on the left and additionally requires, for each
     agent in NH with a non-singleton bundle, that her cheapest bundle
-    chore lies in the residual S_i. X must be complete. A condition compares
-    one left-hand side with coef * v_k over agents k, so all pairs hold iff
-    the tightest does (least v_k if coef >= 0, else greatest), which is
+    chore lies in the residual S_i. A condition compares one left-hand
+    side with coef * v_k over agents k, so all pairs hold iff the
+    tightest does (least v_k if coef >= 0, else greatest), which is
     compared on integer rows; only if it fails does a Fraction loop report.
     """
     violations: List[Violation] = []
@@ -78,13 +78,13 @@ def validate_certificate(
         raise CertificateInvalid(
             [Violation("partition", -1, None, sorted(cert.n0), sorted(cert.nh))]
         )
+    rows = inst.integer_rows()
+    cross = _cross_sums(rows, X)  # rejects an X of another shape first
     bundles = X.bundles()
     for i, b in enumerate(bundles):
         if not b:
             raise EmptyBundle(i)
-    rows = inst.integer_rows()
     scale = [r[0] * v[0].denominator // v[0].numerator for r, v in zip(rows, inst.d)]
-    cross = _cross_sums(rows, X)
     desig = [designated_chore(inst, i, b) for i, b in enumerate(bundles)]
     singles = [[j] for j in desig]
     n0, nh = sorted(cert.n0), sorted(cert.nh)

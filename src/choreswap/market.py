@@ -48,14 +48,14 @@ def mpb_view(inst: Instance, p: Sequence[Fraction]) -> MpbView:
 
 
 def is_mpb_allocation(inst: Instance, X: Allocation, p: Sequence[Fraction]) -> bool:
-    """True iff every assigned chore attains its owner's MPB ratio.
+    """True iff every chore attains its owner's MPB ratio.
 
-    A true result certifies that X is fPO (First Welfare Theorem). X may
-    be partial; unassigned chores only shape the ratios.
+    A true result certifies that X is fPO (First Welfare Theorem).
     """
+    X.check_shape(inst.n, inst.m)
     view = mpb_view(inst, p)
     for j, owner in enumerate(X.owners):
-        if owner is not None and j not in view.mpb_sets[owner]:
+        if j not in view.mpb_sets[owner]:
             return False
     return True
 
@@ -170,6 +170,7 @@ def mpb_price_feasibility(
     leaving one free scalar per agent; the cross-agent inequalities become
     a RatioConstraintSystem solved exactly.
     """
+    X.check_shape(inst.n, inst.m)
     bundles = X.bundles()
     for i, b in enumerate(bundles):
         if not b:
@@ -178,7 +179,4 @@ def mpb_price_feasibility(
     res = solve_ratio_system(sys)
     if isinstance(res, InfeasibilityCycle):
         return res
-    prices = [None] * inst.m
-    for j, owner in enumerate(X.owners):
-        prices[j] = inst.d[owner][j] * res[owner]
-    return tuple(prices)
+    return tuple(inst.d[owner][j] * res[owner] for j, owner in enumerate(X.owners))

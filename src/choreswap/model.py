@@ -22,6 +22,7 @@ from .errors import (
     AgentOutOfRange,
     BadRational,
     ChoreOutOfRange,
+    IncompleteAllocation,
     InvalidDistribution,
     MalformedHeader,
     NonPositiveDisutility,
@@ -245,31 +246,35 @@ def serialize_instance(inst: Instance) -> str:
 
 @dataclass(frozen=True)
 class Allocation:
-    """Owner vector: owners[j] is the 0-based agent holding chore j, or
-    None when unassigned. Complete allocations have no None entries."""
+    """Owner vector: owners[j] is the 0-based agent holding chore j. Every
+    chore has exactly one owner, so the bundles partition the chores."""
 
     n: int
     owners: tuple
 
     def __post_init__(self):
         for j, o in enumerate(self.owners):
-            if o is not None and not 0 <= o < self.n:
+            if o is None:
+                raise IncompleteAllocation(f"chore {j + 1} has no owner")
+            if not 0 <= o < self.n:
                 raise AgentOutOfRange(f"owner of chore {j + 1} out of range: {o}")
 
     @property
     def m(self) -> int:
         return len(self.owners)
 
-    @property
-    def complete(self) -> bool:
-        return all(o is not None for o in self.owners)
+    def check_shape(self, n: int, m: int):
+        """Raise unless this allocates exactly m chores among n agents."""
+        if self.n != n:
+            raise AgentOutOfRange(f"allocation is for {self.n} agents, not {n}")
+        if self.m != m:
+            raise ChoreOutOfRange(f"allocation has {self.m} chores, not {m}")
 
     def bundles(self) -> list:
         """Per-agent bundles as sorted chore-index lists."""
         out = [[] for _ in range(self.n)]
         for j, o in enumerate(self.owners):
-            if o is not None:
-                out[o].append(j)
+            out[o].append(j)
         return out
 
 
@@ -288,7 +293,7 @@ def data_tokens(text: str) -> list:
 
 
 def parse_allocation(text: str, n: int, m: int) -> Allocation:
-    """One line of m entries: agent index 1..n, or 0 for unassigned."""
+    """One line of m entries, each an owner's agent index in 1..n."""
     toks = data_tokens(text)
     if len(toks) != m:
         raise RowCountMismatch(f"expected {m} owner entries, found {len(toks)}")
@@ -298,17 +303,14 @@ def parse_allocation(text: str, n: int, m: int) -> Allocation:
             v = int(tok)
         except ValueError:
             raise ParseError(f"not an agent index: {tok!r}", col=col + 1)
-        if v == 0:
-            owners.append(None)
-        elif 1 <= v <= n:
-            owners.append(v - 1)
-        else:
+        if not 1 <= v <= n:
             raise AgentOutOfRange(f"agent index {v} out of range 1..{n}")
+        owners.append(v - 1)
     return Allocation(n, tuple(owners))
 
 
 def serialize_allocation(alloc: Allocation) -> str:
-    return " ".join("0" if o is None else str(o + 1) for o in alloc.owners) + "\n"
+    return " ".join(str(o + 1) for o in alloc.owners) + "\n"
 
 
 def parse_prices(text: str, m: int) -> tuple:

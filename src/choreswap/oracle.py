@@ -29,7 +29,6 @@ from .errors import (
 )
 from .framework import FriendlyCertificate, SwapTrace
 from .model import INFINITE, Allocation, Instance, allocation_from_bundles
-from .pipelines import search_pef1_mpb
 
 DEFAULT_ORACLE_BUDGET = 1 << 22
 
@@ -166,13 +165,6 @@ def best_efx_factor(inst: Instance, budget: int = DEFAULT_ORACLE_BUDGET):
     if best_den == 0:
         return INFINITE
     return Fraction(best_num, best_den)
-
-
-def pef1_mpb_exists(inst: Instance, budget: int = DEFAULT_ORACLE_BUDGET) -> bool:
-    """True iff some complete allocation admits prices under which it is
-    an MPB allocation and pEF1 (same feasibility routine as the solver's
-    search, exercised exhaustively)."""
-    return search_pef1_mpb(inst, budget) is not None
 
 
 @dataclass(frozen=True)

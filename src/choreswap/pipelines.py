@@ -345,10 +345,8 @@ def solve_bivalued(inst: Instance, budget: int = DEFAULT_BUDGET) -> SolveResult:
         raise NotBivalued("instance has more than two distinct disutility values")
     lam = 2 - 1 / k
     tried = 0
-    for sol in _BivaluedSearch(inst, k, budget).iter_solutions():
-        tried += 1
-        if tried > CANDIDATE_CAP:
-            break
+    starts = itertools.islice(_BivaluedSearch(inst, k, budget).iter_solutions(), CANDIDATE_CAP)
+    for tried, sol in enumerate(starts, 1):
         skipped = [f"skipped {tried - 1} starting points that lost the MPB condition"]
         res = _bivalued_candidate(inst, k, lam, sol, skipped if tried > 1 else [])
         if res is not None:
@@ -419,11 +417,10 @@ def validate_rounded_er(
     inst: Instance, X: Allocation, p: Sequence[Fraction]
 ) -> Tuple[Optional[ErRoundedInput], List[str]]:
     """Check the five rounding properties plus the MPB and price-scaling
-    conventions. Violations are data, not errors."""
+    conventions. Violations are data, not errors; an allocation of another
+    shape than inst raises."""
+    X.check_shape(inst.n, inst.m)
     violations: List[str] = []
-    if not X.complete:
-        violations.append("allocation incomplete")
-        return None, violations
     if len(p) != inst.m:
         violations.append("price vector length mismatch")
         return None, violations

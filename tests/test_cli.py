@@ -9,6 +9,7 @@ import pytest
 import choreswap
 from choreswap import pipelines
 from choreswap.cli import CSV_HEADER, _report_row, main, render_decimal
+from choreswap.errors import CouplingUnsatisfiable, RhoNotLessThanK
 from choreswap.model import UniformInt
 from fractions import Fraction
 
@@ -208,7 +209,9 @@ def test_check_cert_rejects_unassigned_chore(tmp_path, capsys):
     cert = write(tmp_path, "i1.cert", "2\n")
     assert main(["check", inst, "--alloc", alloc, "--cert", cert,
                  "--props", "cert:2:strict"]) == 1
-    assert "unassigned chores" in capsys.readouterr().err
+    captured = capsys.readouterr()
+    assert captured.err == "choreswap: error: agent index 0 out of range 1..2\n"
+    assert captured.out == ""
 
 
 def test_check_mpb_requires_prices(tmp_path, capsys):
@@ -272,6 +275,23 @@ def test_bench_rejects_unknown_methods(tmp_path, capsys, monkeypatch, methods, b
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith(f"choreswap: error: unknown method {bad!r}; choose from auto,")
+
+
+@pytest.mark.parametrize("finding", [RhoNotLessThanK, CouplingUnsatisfiable])
+def test_bench_exits_2_on_a_finding(tmp_path, capsys, monkeypatch, finding):
+    def raises(inst, budget):
+        raise finding("injected")
+
+    monkeypatch.setattr("choreswap.cli.solve_bivalued", raises)
+    corpus = tmp_path / "corpus"
+    assert main(["gen", "--n", "2", "--m", "6", "--seed", "1",
+                 "--dist", "bivalued:3", "--out", str(corpus), "--count", "2"]) == 0
+    assert main(["bench", str(corpus), "--methods", "bivalued"]) == 2
+    captured = capsys.readouterr()
+    rows = captured.out.splitlines()[1:]
+    assert len(rows) == 2
+    assert all(row.endswith(f",error:{finding.__name__}") for row in rows)
+    assert "bench: 0 ok, 2 failed" in captured.err
 
 
 def test_bench_verify_replays_every_run(tmp_path, capsys):

@@ -18,8 +18,16 @@ from choreswap import (
     is_pefx,
     is_po_bruteforce,
 )
-from choreswap.errors import IncompleteAllocation
+from choreswap.errors import (
+    AgentOutOfRange,
+    ChoreOutOfRange,
+    ChoreSwapError,
+    IncompleteAllocation,
+)
 from choreswap.fairness import PoResult, _envy_terms
+from choreswap.framework import FriendlyCertificate, validate_certificate
+from choreswap.market import is_mpb_allocation, mpb_price_feasibility
+from choreswap.pipelines import validate_rounded_er
 from choreswap.model import UniformInt, integer_row
 from choreswap.oracle import enumerate_allocations
 
@@ -42,8 +50,39 @@ def test_efx_factor_empty_rival_infinite():
 
 
 def test_efx_factor_requires_complete():
-    with pytest.raises(IncompleteAllocation):
-        efx_factor(inst_i1(), Allocation(2, (0, None, 1)))
+    with pytest.raises(IncompleteAllocation):  # raised by the constructor
+        Allocation(2, (0, None, 1))
+
+
+def test_checkers_reject_allocation_of_another_shape():
+    # No verdict (such as "po" or an Infinite factor for a short owner
+    # vector) and no IndexError or TypeError: a typed shape error.
+    inst = inst_i1()
+    p = (Fraction(1), Fraction(1), Fraction(10))
+    one = Fraction(1)
+    cert = FriendlyCertificate(Fraction(2), frozenset({0}), frozenset({1}))
+    checks = {
+        "efx_factor": lambda X: efx_factor(inst, X),
+        "is_alpha_efx": lambda X: is_alpha_efx(inst, X, one),
+        "is_pefk": lambda X: is_pefk(inst, X, p, one, 1),
+        "envy_report": lambda X: envy_report(inst, X),
+        "validate_certificate": lambda X: validate_certificate(inst, X, cert),
+        "is_po_bruteforce": lambda X: is_po_bruteforce(inst, X),
+        "is_mpb_allocation": lambda X: is_mpb_allocation(inst, X, p),
+        "mpb_price_feasibility": lambda X: mpb_price_feasibility(inst, X),
+        "validate_rounded_er": lambda X: validate_rounded_er(inst, X, p),
+    }
+    wrong = [
+        (Allocation(3, (0, 1, 2)), AgentOutOfRange),
+        (Allocation(1, (0, 0, 0)), AgentOutOfRange),
+        (Allocation(2, (0, 0)), ChoreOutOfRange),
+        (Allocation(2, (0, 0, 1, 1)), ChoreOutOfRange),
+    ]
+    for name, check in checks.items():
+        for X, error in wrong:
+            with pytest.raises(ChoreSwapError) as e:
+                check(X)
+            assert type(e.value) is error, (name, X)
 
 
 def test_is_alpha_efk_examples():

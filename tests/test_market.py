@@ -17,7 +17,12 @@ from choreswap import (
     mpb_view,
     solve_ratio_system,
 )
-from choreswap.errors import EmptyBundle, NonPositivePrice, PriceLengthMismatch
+from choreswap.errors import (
+    EmptyBundle,
+    IncompleteAllocation,
+    NonPositivePrice,
+    PriceLengthMismatch,
+)
 from choreswap.model import UniformInt
 
 from conftest import inst_i1, make_instance
@@ -60,8 +65,9 @@ def test_is_mpb_allocation_examples():
     assert not is_mpb_allocation(inst, Allocation(2, (1, 0)), p)
     solo = make_instance([[3, 5]])
     assert is_mpb_allocation(solo, Allocation(1, (0, 0)), (Fraction(3), Fraction(5)))
-    # partial allocations only constrain assigned chores
-    assert is_mpb_allocation(inst, Allocation(2, (0, None)), p)
+    # an allocation that leaves a chore unassigned cannot be built
+    with pytest.raises(IncompleteAllocation):
+        is_mpb_allocation(inst, Allocation(2, (0, None)), p)
 
 
 def test_mpb_price_feasibility_examples():

@@ -25,6 +25,7 @@ from choreswap.errors import (
     BadRational,
     ParseError,
     ChoreOutOfRange,
+    IncompleteAllocation,
     InvalidDistribution,
     NonPositiveDisutility,
     RowCountMismatch,
@@ -130,11 +131,15 @@ def test_instance_round_trip():
 
 
 def test_allocation_round_trip_and_unassigned():
-    alloc = parse_allocation("1 0 2\n", 2, 3)
-    assert alloc.owners == (0, None, 1)
-    assert not alloc.complete
-    assert serialize_allocation(alloc) == "1 0 2\n"
-    assert alloc.bundles() == [[0], [2]]
+    alloc = parse_allocation("1 2 2\n", 2, 3)
+    assert alloc.owners == (0, 1, 1)
+    assert serialize_allocation(alloc) == "1 2 2\n"
+    assert alloc.bundles() == [[0], [1, 2]]
+    # 0 is no longer "unassigned": like any index outside 1..n, it is rejected
+    with pytest.raises(AgentOutOfRange, match="agent index 0 out of range 1..2"):
+        parse_allocation("1 0 2", 2, 3)
+    with pytest.raises(IncompleteAllocation, match="chore 2 has no owner"):
+        Allocation(2, (0, None, 1))
     with pytest.raises(AgentOutOfRange):
         parse_allocation("3 1 1", 2, 3)
     with pytest.raises(RowCountMismatch):

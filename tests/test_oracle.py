@@ -14,7 +14,6 @@ from choreswap import (
     enumerate_allocations,
     generate_random,
     generate_valid_certificate,
-    pef1_mpb_exists,
     run_framework,
     solve_2efx,
     validate_certificate,
@@ -24,7 +23,7 @@ from choreswap.errors import BudgetExceeded, GenerationBudgetExceeded, TraceMism
 from choreswap.model import Bivalued, UniformInt
 from choreswap.framework import designated_chore
 from choreswap.oracle import CertificateBounds, _bundle_sum, _hat
-from choreswap.pipelines import _round_robin_two_phase
+from choreswap.pipelines import _round_robin_two_phase, search_pef1_mpb
 
 from conftest import inst_i1, make_instance
 
@@ -134,8 +133,8 @@ def test_best_efx_factor_order_edge_cases():
 
 
 def test_pef1_mpb_exists_examples():
-    assert pef1_mpb_exists(make_instance([[5, 6]]))
-    assert pef1_mpb_exists(inst_i1())
+    assert search_pef1_mpb(make_instance([[5, 6]])) is not None
+    assert search_pef1_mpb(inst_i1()) is not None
 
 
 def test_generate_valid_certificate_contract():

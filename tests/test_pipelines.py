@@ -313,6 +313,24 @@ def test_every_small_bivalued_matrix_has_a_1_k_start():
         assert sol is not None and set(sol.p) <= {1, k_inst}, inst.d
 
 
+def test_solve_bivalued_counts_only_the_starts_it_tried(monkeypatch):
+    inst = make_instance([[1, 2, 1, 2, 1], [2, 1, 2, 1, 2]])
+    k = inst.bivalued_k()
+    assert len(list(_BivaluedSearch(inst, k, 10**6).iter_solutions())) > 2
+    calls = []
+
+    def reject(inst, k, lam, sol, notes):
+        calls.append(sol)
+        return None
+
+    monkeypatch.setattr(pipelines, "CANDIDATE_CAP", 2)
+    monkeypatch.setattr(pipelines, "_bivalued_candidate", reject)
+    with pytest.raises(PostconditionViolated) as e:
+        solve_bivalued(inst)
+    assert len(calls) == 2
+    assert "(tried 2; existence finding)" in str(e.value)
+
+
 def test_solve_bivalued_rejects_three_values():
     with pytest.raises(NotBivalued):
         solve_bivalued(make_instance([[1, 2, 3], [1, 2, 3]]))
