@@ -253,11 +253,15 @@ class Allocation:
     owners: tuple
 
     def __post_init__(self):
+        n = self.n
         for j, o in enumerate(self.owners):
-            if o is None:
-                raise IncompleteAllocation(f"chore {j + 1} has no owner")
-            if not 0 <= o < self.n:
-                raise AgentOutOfRange(f"owner of chore {j + 1} out of range: {o}")
+            # An exact int only: a float indexes nothing, and a bool is an int.
+            if type(o) is not int or not 0 <= o < n:
+                if o is None:
+                    raise IncompleteAllocation(f"chore {j + 1} has no owner")
+                raise AgentOutOfRange(
+                    f"owner of chore {j + 1} is not an agent index in [0, {n}): {o!r}"
+                )
 
     @property
     def m(self) -> int:

@@ -10,7 +10,6 @@ friendly certificate, then delegates to the swap framework.
 from __future__ import annotations
 
 import itertools
-import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
@@ -59,6 +58,12 @@ def _trivial_trace(inst: Instance, X: Allocation, lam: Fraction, mode: str) -> S
     return t
 
 
+def _check_budget(n: int, m: int, budget: int):
+    """The searches refuse an instance whose n^m owner vectors exceed budget."""
+    if n**m > budget:
+        raise BudgetExceeded(f"{n}^{m} allocations exceed budget {budget}")
+
+
 class _Pef1Search:
     """Lexicographic DFS over owner vectors. Two cuts remove only subtrees
     without a solution, so `iter_solutions` yields the solutions of the
@@ -79,8 +84,7 @@ class _Pef1Search:
 
     def __init__(self, inst: Instance, budget: int):
         self.n, self.m = inst.n, inst.m
-        if self.n**self.m > budget:
-            raise BudgetExceeded(f"{self.n}^{self.m} allocations exceed budget {budget}")
+        _check_budget(self.n, self.m, budget)
         self.rows = inst.integer_rows()
         self.cols = tuple(zip(*self.rows))  # cols[j][i] = rows[i][j]
         n, m = self.n, self.m
@@ -177,83 +181,180 @@ def search_pef1_mpb(inst: Instance, budget: int = DEFAULT_BUDGET) -> Optional[Pe
     return next(_Pef1Search(inst, budget).iter_solutions(), None)
 
 
-class _BivaluedSearch(_Pef1Search):
-    """pEF1+MPB search with prices restricted to {1, k} on an instance whose
-    values are all lo or lo * k (k >= 1). Generic MPB pruning stays sound: a
-    {1,k}-priced solution is in particular an unrestricted one.
+_EMPTY_D = 2  # D[x][a] for an empty X_a: every exponent difference is below it
 
-    The leaf check is integer-only and reads only which entries are high,
-    so it runs as on the values divided by lo, {1, k}. Every ratio d/p is
-    then k^e with e = [d = k] - [p = k] in {-1, 0, 1}, and k^e orders as e
-    does, so agent a is MPB iff every chore in its bundle has a's least
-    exponent over all chores. Agent a's MPB bundle has one ratio, so its
-    prices are all 1, all k, or (when a values it at both 1 and k) equal
-    to a's values; those are the per-agent options, tried in
-    `itertools.product` order. Earnings are counted in units of
-    1/k.denominator: price 1 is k.denominator and price k is k.numerator.
-    Both are positive integers, so sums and the pEF1 comparisons are exact
-    on that common scale. With k = 1 no entry is high and every price is
-    1, and the first combo that is pEF1 is MPB.
+
+class _BivaluedSearch:
+    """pEF1+MPB search with prices restricted to {1, k} on an instance whose
+    values are all lo or lo * k (k >= 1). It walks the owner vectors in the
+    lexicographic order of `_Pef1Search`, with its n^m refusal and fill
+    rule, on small integers.
+
+    Divided by lo the values are {1, k}; high[a][j] = [d_a(j) = lo * k].
+    Every ratio d/p is k^e with e = [d = k] - [p = k] in {-1, 0, 1}, and
+    k^e orders as e does, so only exponents matter. Agent a's MPB bundle
+    has one exponent e_a, so its prices are all 1, all k, or (when a
+    values it at both 1 and k) equal to a's values; those are the
+    per-agent options, read from the counts c_a of chores held and nh[a]
+    of those a values high, and tried in `itertools.product` order. With
+    D[x][a] = min over X_a of high[x][j] - high[a][j], x's exponent on a
+    chore of X_a is high[x][j] - high[a][j] + e_a, so agent x is MPB iff
+    e_x - e_a <= D[x][a] for every a. Earnings are counted in units of
+    1/k.denominator: price 1 is `unit` = k.denominator and price k is
+    `k_units` = k.numerator, so pEF1 is exact on integer earnings. With
+    k = 1 no entry is high and every price is 1.
+
+    Two cuts remove only subtrees without a solution, so `iter_solutions`
+    yields the solutions of the unpruned enumeration in the same order.
+
+    - 2-cycle cut. With D[x][a] + D[a][x] < 0 no exponents meet both
+      e_x - e_a <= D[x][a] and e_a - e_x <= D[a][x]; D only falls along a
+      path, so the pair stays infeasible below. A placement with a changes
+      only column a, so testing the entries it lowered tests every pair
+      when it changes.
+    - pEF1 counting cut. Every price lies in [unit, k_units]. Agent i's
+      final earning less its top price is at least lb_i = (c_i - 1) * unit,
+      or, once its bundle is mixed (its prices are then fixed), its
+      earning less k_units. A rival h earns at most cm_h = c_h * k_units,
+      or its exact earning if mixed, plus k_units for each chore it still
+      gets. pEF1 needs every rival to earn at least lb_i, so the rivals
+      need need_i = sum over h of max(0, ceil((lb_i - cm_h) / k_units)) of
+      the R chores left (h = i adds 0: cm_i >= lb_i). One placement lowers
+      R by 1 and need_i by at most 1: lb only rises, and the receiver's cm
+      rises by at most k_units (it falls when the bundle turns mixed). So
+      need_i - R never falls along a path. A node with need_i > R thus has
+      need_i > 0 at every leaf below: some rival's greatest earning is
+      below i's least earning less its top price, and no price option is
+      pEF1.
     """
 
     def __init__(self, inst: Instance, k: Fraction, budget: int):
-        super().__init__(inst, budget)
+        n, m = self.n, self.m = inst.n, inst.m
+        _check_budget(n, m, budget)
         self.k = k
         self.unit, self.k_units = k.denominator, k.numerator
-        lo = min((v for row in inst.d for v in row), default=Fraction(1))
-        # high[a][j] = [d[a][j] = lo * k]; all 0 when k = 1.
-        self.high = [[int(v != lo) for v in row] for row in inst.d]
+        self.high = _high_bits(inst)
+        self.hcols = tuple(zip(*self.high))  # hcols[j][a] = high[a][j]
+        self.owners = [0] * m
+        self.counts = [0] * n
+        self.nh = [0] * n
+        # dcol[a][x] = D[x][a]; _EMPTY_D while X_a is empty.
+        self.dcol = [[_EMPTY_D] * n for _ in range(n)]
+        self.lb = [-self.unit] * n
+        self.cm = [0] * n
 
-    def leaf_check(self):
-        n, m, high = self.n, self.m, self.high
+    def iter_solutions(self):
+        """All feasible solutions in owner-vector lexicographic order."""
+        for owners, prices in self._dfs(0):
+            yield Pef1Solution(Allocation(self.n, owners), prices)
+
+    def _dfs(self, j: int):
+        if j == self.m:
+            prices = self.leaf_prices()
+            if prices is not None:
+                yield tuple(self.owners), prices
+            return
+        n, counts, nh, dcol, lb, cm = (
+            self.n, self.counts, self.nh, self.dcol, self.lb, self.cm
+        )
         unit, k_units = self.unit, self.k_units
-        bundles = [[] for _ in range(n)]
-        for j, o in enumerate(self.owners):
-            bundles[o].append(j)
-        # Per agent: (in-bundle exponent, earning, top price, chores priced k).
-        options = []
-        for a, b in enumerate(bundles):
-            size = len(b)
-            if not size:
-                options.append([(None, 0, 0, ())])
+        hcol = self.hcols[j]
+        left = self.m - j - 1
+        fill = left + 1 == counts.count(0)
+        for a in range(n):
+            if fill and counts[a]:
                 continue
-            n_high = sum(high[a][j] for j in b)
-            if 0 < n_high < size:
-                earn = n_high * k_units + (size - n_high) * unit
-                options.append([(0, earn, k_units, tuple(j for j in b if high[a][j]))])
+            h_a = hcol[a]
+            mine = dcol[a]
+            undo = []
+            for x in range(n):
+                if x == a:
+                    continue
+                v = hcol[x] - h_a
+                if v < mine[x]:
+                    undo.append((x, mine[x]))
+                    mine[x] = v
+                    if v + dcol[x][a] < 0:
+                        break  # the 2-cycle cut
             else:
-                e = high[a][b[0]]
+                c, h = counts[a] + 1, nh[a] + h_a
+                old = lb[a], cm[a]
+                if 0 < h < c:
+                    cm[a] = h * k_units + (c - h) * unit
+                    lb[a] = cm[a] - k_units
+                else:
+                    lb[a], cm[a] = (c - 1) * unit, c * k_units
+                if not _starved(lb, cm, k_units, left):
+                    self.owners[j] = a
+                    counts[a], nh[a] = c, h
+                    yield from self._dfs(j + 1)
+                    counts[a], nh[a] = c - 1, h - h_a
+                lb[a], cm[a] = old
+            for x, v in undo:
+                mine[x] = v
+
+    def leaf_prices(self):
+        """Prices (tuple of Fractions) of the first per-agent option combo
+        that is MPB and pEF1 for the current complete allocation, or None.
+        An option is (e_a, earning, earning less top price, price flag):
+        flag 0 prices a's chores 1, flag 1 prices them k, and None prices
+        them at a's values."""
+        unit, k_units, dcol = self.unit, self.k_units, self.dcol
+        options = []
+        for c, h in zip(self.counts, self.nh):
+            if not c:
+                options.append(((0, 0, 0, 0),))
+            elif 0 < h < c:
+                earn = h * k_units + (c - h) * unit
+                options.append(((0, earn, earn - k_units, None),))
+            else:
+                e = 1 if h else 0
                 options.append(
-                    [
-                        (e, size * unit, unit, ()),
-                        (e - 1, size * k_units, k_units, tuple(b)),
-                    ]
+                    ((e, c * unit, (c - 1) * unit, 0), (e - 1, c * k_units, (c - 1) * k_units, 1))
                 )
+        held = [a for a, c in enumerate(self.counts) if c]
         for combo in itertools.product(*options):
-            if not _is_pef1(combo):
-                continue
-            priced_k = [0] * m
-            for _, _, _, chores in combo:
-                for j in chores:
-                    priced_k[j] = 1
-            if all(
-                e is None or min(map(operator.sub, high[a], priced_k)) == e
-                for a, (e, _, _, _) in enumerate(combo)
-            ):
-                k, one = self.k, Fraction(1)
-                return tuple(k if f else one for f in priced_k)
+            if max(o[2] for o in combo) > min(o[1] for o in combo):
+                continue  # not pEF1
+            if all(combo[x][0] - combo[a][0] <= dcol[a][x] for x in held for a in held):
+                k, one, high = self.k, Fraction(1), self.high
+                return tuple(
+                    k if (high[o][j] if combo[o][3] is None else combo[o][3]) else one
+                    for j, o in enumerate(self.owners)
+                )
         return None
 
 
-def _is_pef1(combo) -> bool:
-    """pEF1 on integer earnings: no agent's earning without its top price
-    exceeds another agent's earning."""
-    earn = [o[1] for o in combo]
-    for i, (_, e_i, top, _) in enumerate(combo):
-        rest = e_i - top
-        if rest and any(rest > e_h for h, e_h in enumerate(earn) if h != i):
-            return False
-    return True
+def _starved(lb, cm, k_units, left) -> bool:
+    """The pEF1 counting cut of `_BivaluedSearch`: whether some agent's
+    rivals need more than the `left` chores to reach its lower bound."""
+    least = min(cm)
+    for lb_i in lb:
+        if lb_i > least:
+            need = 0
+            for cm_h in cm:
+                if cm_h < lb_i:
+                    need -= (cm_h - lb_i) // k_units  # ceil((lb_i - cm_h) / k_units)
+            if need > left:
+                return True
+    return False
+
+
+def _high_bits(inst: Instance) -> list:
+    """high[a][j] = [d[a][j] is the greater of the two values], read from
+    the integer rows: a row whose least value is the instance's least
+    (lo) is high where it exceeds that least, any other row is high
+    everywhere. Only the n row minima are compared as Fractions."""
+    rows = inst.integer_rows()
+    if not inst.m:
+        return [[] for _ in rows]
+    least = [min(r) for r in rows]
+    row_lo = [d[r.index(v)] for d, r, v in zip(inst.d, rows, least)]
+    lo = min(row_lo)
+    return [
+        [int(x != v) for x in r] if rl == lo else [1] * len(r)
+        for r, v, rl in zip(rows, least, row_lo)
+    ]
 
 
 def _price_split(sol: Pef1Solution) -> Tuple[Fraction, List[Fraction]]:

@@ -106,6 +106,16 @@ def test_solve_pef1_without_start_is_a_finding(tmp_path, capsys, monkeypatch):
     )
 
 
+def test_solve_exits_1_when_the_search_exceeds_its_budget(tmp_path, capsys):
+    # 2^23 owner vectors exceed the default budget of 2^22; auto picks bivalued.
+    row = " ".join("12"[j % 2] for j in range(23))
+    inst = write(tmp_path, "big.txt", f"2 23\n{row}\n{row}\n")
+    assert main(["solve", inst]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "choreswap: error: 2^23 allocations exceed budget 4194304\n"
+
+
 @pytest.mark.parametrize("method, text", [("pef1", I1), ("small-m", I2)])
 def test_solve_verify_replays_the_trace(tmp_path, capsys, method, text):
     inst = write(tmp_path, "inst.txt", text)

@@ -146,6 +146,13 @@ def test_allocation_round_trip_and_unassigned():
         parse_allocation("1 1", 2, 3)
 
 
+@pytest.mark.parametrize("owners", [(0.0, 1, 1), (True, 0, 0)])
+def test_allocation_rejects_owners_that_are_not_ints(owners):
+    # A float owner would fail later as a list index; True would count as 1.
+    with pytest.raises(AgentOutOfRange, match="chore 1 is not an agent index in"):
+        Allocation(2, owners)
+
+
 def test_prices_round_trip():
     p = parse_prices("1 1/2 10\n", 3)
     assert p == (Fraction(1), Fraction(1, 2), Fraction(10))

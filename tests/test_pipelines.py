@@ -265,13 +265,15 @@ def _checker_bivalued_solutions(norm, k):
 
 
 def test_bivalued_search_matches_checker_enumeration():
-    # k = 5/2 gives rows like {2, 5} after integer rescaling, so the leaf's
-    # earning scale and the DFS ratio pairs meet a non-integer k.
+    # k = 5/2 and 3/2 give rows like {2, 5} after integer rescaling, so the
+    # leaf's earning scale and the pEF1 counting cut meet a non-integer k.
+    # n = 2 reaches m = 8, where the counting cut fires deep in the tree.
     rng = random.Random(53)
-    ks = [Fraction(1), Fraction(2), Fraction(3), Fraction(5, 2)]
-    for trial in range(200):
-        n = rng.randint(1, 3)
-        m = rng.randint(0, 6)
+    ks = [Fraction(1), Fraction(3, 2), Fraction(2), Fraction(5, 2), Fraction(3), Fraction(5)]
+    max_m = {1: 6, 2: 8, 3: 6, 4: 5}
+    for trial in range(300):
+        n = rng.randint(1, 4)
+        m = rng.randint(0, max_m[n])
         inst = generate_random(rng.randrange(1 << 30), n, m, Bivalued(rng.choice(ks)))
         # Least value 1, so the checker can price chores at their values.
         lo = min((v for row in inst.d for v in row), default=Fraction(1))
@@ -282,6 +284,24 @@ def test_bivalued_search_matches_checker_enumeration():
             for sol in _BivaluedSearch(norm, k, 10**6).iter_solutions()
         ]
         assert found == _checker_bivalued_solutions(norm, k), (trial, norm.d)
+
+
+def test_pef1_counting_cut_needs_whole_chores():
+    # k = 3/2 in units of 1/2: price 1 is 2 units, price k is 3. Agent 0
+    # holds three chores, so it earns at least 4 past its top price; agent
+    # 1 holds none and earns at most 3 per chore, so it needs ceil(4/3) = 2.
+    # A floor here only weakens the cut, which no solution list shows.
+    lb, cm = [4, -2], [9, 0]
+    assert pipelines._starved(lb, cm, 3, 1)
+    assert not pipelines._starved(lb, cm, 3, 2)
+
+
+@pytest.mark.parametrize("search", [search_pef1_mpb, solve_bivalued])
+def test_search_refuses_more_owner_vectors_than_budget(search):
+    inst = make_instance([[1, 2, 1, 2, 1], [2, 1, 2, 1, 2]])
+    with pytest.raises(BudgetExceeded, match=r"^2\^5 allocations exceed budget 31$"):
+        search(inst, 31)
+    assert search(inst, 32) is not None
 
 
 def test_solve_bivalued_raises_without_start(monkeypatch):
