@@ -19,8 +19,10 @@ from pathlib import Path
 from typing import List, Optional
 
 from .errors import (
+    CertificateInvalid,
     ChoreSwapError,
     CouplingUnsatisfiable,
+    InvariantViolation,
     NotBivalued,
     PostconditionViolated,
     RhoNotLessThanK,
@@ -71,9 +73,16 @@ EXIT_FINDING = 2
 
 METHODS = ("auto", "pef1", "bivalued", "small-m", "er4")
 
-# Reportable findings, exit 2: a failed postcondition, or an input that
-# contradicts a derivation the pipeline relies on.
-FINDINGS = (PostconditionViolated, RhoNotLessThanK, CouplingUnsatisfiable)
+# Reportable findings, exit 2: a failed postcondition, a start that fails
+# its gate, a certificate a pipeline built that does not validate, or an
+# input that contradicts a derivation the pipeline relies on.
+FINDINGS = (
+    PostconditionViolated,
+    InvariantViolation,
+    CertificateInvalid,
+    RhoNotLessThanK,
+    CouplingUnsatisfiable,
+)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -168,7 +177,7 @@ def _run_method(inst, method: str, args) -> SolveResult:
     if method == "small-m":
         return solve_small_m(inst)
     if method == "bivalued":
-        return solve_bivalued(inst, args.budget)
+        return solve_bivalued(inst)
     if method == "pef1":
         return solve_2efx(inst, args.budget)
     if method == "er4":

@@ -10,6 +10,7 @@ friendly certificate, then delegates to the swap framework.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
@@ -30,7 +31,7 @@ from .market import is_mpb_allocation, ratio_labels
 from .model import Allocation, Instance, allocation_from_bundles
 
 NO_PEF1_MPB = "no pEF1+MPB allocation found within budget (existence finding)"
-CANDIDATE_CAP = 5000
+MARKET_STEPS_PER_NM = 50  # the bivalued market loop stops past 50 * n * m steps
 
 
 @dataclass(frozen=True)
@@ -58,12 +59,6 @@ def _trivial_trace(inst: Instance, X: Allocation, lam: Fraction, mode: str) -> S
     return t
 
 
-def _check_budget(n: int, m: int, budget: int):
-    """The searches refuse an instance whose n^m owner vectors exceed budget."""
-    if n**m > budget:
-        raise BudgetExceeded(f"{n}^{m} allocations exceed budget {budget}")
-
-
 class _Pef1Search:
     """Lexicographic DFS over owner vectors. Two cuts remove only subtrees
     without a solution, so `iter_solutions` yields the solutions of the
@@ -83,11 +78,11 @@ class _Pef1Search:
     """
 
     def __init__(self, inst: Instance, budget: int):
-        self.n, self.m = inst.n, inst.m
-        _check_budget(self.n, self.m, budget)
+        n, m = self.n, self.m = inst.n, inst.m
+        if n**m > budget:
+            raise BudgetExceeded(f"{n}^{m} allocations exceed budget {budget}")
         self.rows = inst.integer_rows()
         self.cols = tuple(zip(*self.rows))  # cols[j][i] = rows[i][j]
-        n, m = self.n, self.m
         self.owners = [None] * m
         # cmin[k][i] as an integer pair (num, den), compared by
         # cross-multiplication; None while X_k is empty.
@@ -181,165 +176,6 @@ def search_pef1_mpb(inst: Instance, budget: int = DEFAULT_BUDGET) -> Optional[Pe
     return next(_Pef1Search(inst, budget).iter_solutions(), None)
 
 
-_EMPTY_D = 2  # D[x][a] for an empty X_a: every exponent difference is below it
-
-
-class _BivaluedSearch:
-    """pEF1+MPB search with prices restricted to {1, k} on an instance whose
-    values are all lo or lo * k (k >= 1). It walks the owner vectors in the
-    lexicographic order of `_Pef1Search`, with its n^m refusal and fill
-    rule, on small integers.
-
-    Divided by lo the values are {1, k}; high[a][j] = [d_a(j) = lo * k].
-    Every ratio d/p is k^e with e = [d = k] - [p = k] in {-1, 0, 1}, and
-    k^e orders as e does, so only exponents matter. Agent a's MPB bundle
-    has one exponent e_a, so its prices are all 1, all k, or (when a
-    values it at both 1 and k) equal to a's values; those are the
-    per-agent options, read from the counts c_a of chores held and nh[a]
-    of those a values high, and tried in `itertools.product` order. With
-    D[x][a] = min over X_a of high[x][j] - high[a][j], x's exponent on a
-    chore of X_a is high[x][j] - high[a][j] + e_a, so agent x is MPB iff
-    e_x - e_a <= D[x][a] for every a. Earnings are counted in units of
-    1/k.denominator: price 1 is `unit` = k.denominator and price k is
-    `k_units` = k.numerator, so pEF1 is exact on integer earnings. With
-    k = 1 no entry is high and every price is 1.
-
-    Two cuts remove only subtrees without a solution, so `iter_solutions`
-    yields the solutions of the unpruned enumeration in the same order.
-
-    - 2-cycle cut. With D[x][a] + D[a][x] < 0 no exponents meet both
-      e_x - e_a <= D[x][a] and e_a - e_x <= D[a][x]; D only falls along a
-      path, so the pair stays infeasible below. A placement with a changes
-      only column a, so testing the entries it lowered tests every pair
-      when it changes.
-    - pEF1 counting cut. Every price lies in [unit, k_units]. Agent i's
-      final earning less its top price is at least lb_i = (c_i - 1) * unit,
-      or, once its bundle is mixed (its prices are then fixed), its
-      earning less k_units. A rival h earns at most cm_h = c_h * k_units,
-      or its exact earning if mixed, plus k_units for each chore it still
-      gets. pEF1 needs every rival to earn at least lb_i, so the rivals
-      need need_i = sum over h of max(0, ceil((lb_i - cm_h) / k_units)) of
-      the R chores left (h = i adds 0: cm_i >= lb_i). One placement lowers
-      R by 1 and need_i by at most 1: lb only rises, and the receiver's cm
-      rises by at most k_units (it falls when the bundle turns mixed). So
-      need_i - R never falls along a path. A node with need_i > R thus has
-      need_i > 0 at every leaf below: some rival's greatest earning is
-      below i's least earning less its top price, and no price option is
-      pEF1.
-    """
-
-    def __init__(self, inst: Instance, k: Fraction, budget: int):
-        n, m = self.n, self.m = inst.n, inst.m
-        _check_budget(n, m, budget)
-        self.k = k
-        self.unit, self.k_units = k.denominator, k.numerator
-        self.high = _high_bits(inst)
-        self.hcols = tuple(zip(*self.high))  # hcols[j][a] = high[a][j]
-        self.owners = [0] * m
-        self.counts = [0] * n
-        self.nh = [0] * n
-        # dcol[a][x] = D[x][a]; _EMPTY_D while X_a is empty.
-        self.dcol = [[_EMPTY_D] * n for _ in range(n)]
-        self.lb = [-self.unit] * n
-        self.cm = [0] * n
-
-    def iter_solutions(self):
-        """All feasible solutions in owner-vector lexicographic order."""
-        for owners, prices in self._dfs(0):
-            yield Pef1Solution(Allocation(self.n, owners), prices)
-
-    def _dfs(self, j: int):
-        if j == self.m:
-            prices = self.leaf_prices()
-            if prices is not None:
-                yield tuple(self.owners), prices
-            return
-        n, counts, nh, dcol, lb, cm = (
-            self.n, self.counts, self.nh, self.dcol, self.lb, self.cm
-        )
-        unit, k_units = self.unit, self.k_units
-        hcol = self.hcols[j]
-        left = self.m - j - 1
-        fill = left + 1 == counts.count(0)
-        for a in range(n):
-            if fill and counts[a]:
-                continue
-            h_a = hcol[a]
-            mine = dcol[a]
-            undo = []
-            for x in range(n):
-                if x == a:
-                    continue
-                v = hcol[x] - h_a
-                if v < mine[x]:
-                    undo.append((x, mine[x]))
-                    mine[x] = v
-                    if v + dcol[x][a] < 0:
-                        break  # the 2-cycle cut
-            else:
-                c, h = counts[a] + 1, nh[a] + h_a
-                old = lb[a], cm[a]
-                if 0 < h < c:
-                    cm[a] = h * k_units + (c - h) * unit
-                    lb[a] = cm[a] - k_units
-                else:
-                    lb[a], cm[a] = (c - 1) * unit, c * k_units
-                if not _starved(lb, cm, k_units, left):
-                    self.owners[j] = a
-                    counts[a], nh[a] = c, h
-                    yield from self._dfs(j + 1)
-                    counts[a], nh[a] = c - 1, h - h_a
-                lb[a], cm[a] = old
-            for x, v in undo:
-                mine[x] = v
-
-    def leaf_prices(self):
-        """Prices (tuple of Fractions) of the first per-agent option combo
-        that is MPB and pEF1 for the current complete allocation, or None.
-        An option is (e_a, earning, earning less top price, price flag):
-        flag 0 prices a's chores 1, flag 1 prices them k, and None prices
-        them at a's values."""
-        unit, k_units, dcol = self.unit, self.k_units, self.dcol
-        options = []
-        for c, h in zip(self.counts, self.nh):
-            if not c:
-                options.append(((0, 0, 0, 0),))
-            elif 0 < h < c:
-                earn = h * k_units + (c - h) * unit
-                options.append(((0, earn, earn - k_units, None),))
-            else:
-                e = 1 if h else 0
-                options.append(
-                    ((e, c * unit, (c - 1) * unit, 0), (e - 1, c * k_units, (c - 1) * k_units, 1))
-                )
-        held = [a for a, c in enumerate(self.counts) if c]
-        for combo in itertools.product(*options):
-            if max(o[2] for o in combo) > min(o[1] for o in combo):
-                continue  # not pEF1
-            if all(combo[x][0] - combo[a][0] <= dcol[a][x] for x in held for a in held):
-                k, one, high = self.k, Fraction(1), self.high
-                return tuple(
-                    k if (high[o][j] if combo[o][3] is None else combo[o][3]) else one
-                    for j, o in enumerate(self.owners)
-                )
-        return None
-
-
-def _starved(lb, cm, k_units, left) -> bool:
-    """The pEF1 counting cut of `_BivaluedSearch`: whether some agent's
-    rivals need more than the `left` chores to reach its lower bound."""
-    least = min(cm)
-    for lb_i in lb:
-        if lb_i > least:
-            need = 0
-            for cm_h in cm:
-                if cm_h < lb_i:
-                    need -= (cm_h - lb_i) // k_units  # ceil((lb_i - cm_h) / k_units)
-            if need > left:
-                return True
-    return False
-
-
 def _high_bits(inst: Instance) -> list:
     """high[a][j] = [d[a][j] is the greater of the two values], read from
     the integer rows: a row whose least value is the instance's least
@@ -355,6 +191,103 @@ def _high_bits(inst: Instance) -> list:
         [int(x != v) for x in r] if rl == lo else [1] * len(r)
         for r, v, rl in zip(rows, least, row_lo)
     ]
+
+
+def _bivalued_market(inst: Instance, k: Fraction) -> Pef1Solution:
+    """A {1,k}-priced pEF1+MPB allocation from the price-lowering market
+    loop for bivalued chores (Garg, Murhekar and Qin, AAAI 2022; Ebadian,
+    Peters and Shah, AAMAS 2022).
+
+    Prices are p_j = k^q[j] on integer exponents q. With high =
+    `_high_bits(inst)`, agent a pays lo * k^(high[a][j] - q[j]) per buck on
+    chore j, and k^e orders as e does, so MPB compares integer exponents.
+    Every step keeps each bundle on its owner's least exponent (MPB):
+
+    - Start: chore j goes to the lowest-index agent that values it low
+      (agent 0 if none), with q[j] = high[owner][j]. Every exponent is
+      then at least 0 and each owner's are 0.
+    - Stop when pEF1 holds: max_i earning_i - top_i <= the least earning.
+    - Move: a BFS from the lowest-index least earner L, agents in BFS
+      order and chores in index order, follows MPB edges i -> j -> h to
+      owners h it has not reached. It moves the first chore j with
+      earning_h - p_j > earning_L to i, for which j is MPB.
+    - Lower: with no such chore, q falls by 1 (beta = 1/k) on every chore
+      held in L's component. A chore outside it is not MPB for an agent
+      inside (its owner would be inside), so its exponent stays at least
+      that agent's; an agent outside pays more per buck only on
+      component chores.
+      With k = 1 every chore is MPB for every agent, so a move always
+      exists while pEF1 fails, and q stays 0.
+
+    The loop is not known to terminate on every instance: more than
+    MARKET_STEPS_PER_NM * n * m steps raises PostconditionViolated, as do
+    final exponents spanning more than one. Prices are normalized so the
+    least is 1.
+    """
+    n, m = inst.n, inst.m
+    high = _high_bits(inst)
+    owners = [col.index(0) if 0 in col else 0 for col in zip(*high)]
+    q = [high[o][j] for j, o in enumerate(owners)]
+    a, b = k.numerator, k.denominator
+    price = [a if e else b for e in q]  # c * k^q[j] for one c: an integer
+    earn = [0] * n
+    for j, o in enumerate(owners):
+        earn[o] += price[j]
+    for step in itertools.count():
+        least = min(earn)
+        top = [0] * n
+        for j, o in enumerate(owners):
+            top[o] = max(top[o], price[j])
+        if all(e - t <= least for e, t in zip(earn, top)):
+            break
+        if step == MARKET_STEPS_PER_NM * n * m:
+            raise PostconditionViolated(
+                f"the bivalued market loop passed its cap of {step} steps (finding)"
+            )
+        low = earn.index(least)
+        mpb = [min(map(operator.sub, row, q)) for row in high]
+        comp, inside = [low], [False] * n
+        inside[low] = True
+        move = None
+        for i in comp:
+            row, e = high[i], mpb[i]
+            for j, h in enumerate(owners):
+                if inside[h] or row[j] - q[j] != e:
+                    continue
+                if earn[h] - price[j] > least:
+                    move = i, j, h
+                    break
+                inside[h] = True
+                comp.append(h)
+            if move:
+                break
+        if move:
+            i, j, h = move
+            owners[j] = i
+            earn[h] -= price[j]
+            earn[i] += price[j]
+        else:
+            # p / k inside and p outside, all scaled by a, stay integers:
+            # b * p inside and a * p outside.
+            for j, o in enumerate(owners):
+                q[j] -= inside[o]
+                price[j] *= b if inside[o] else a
+            earn = [e * (b if inside[i] else a) for i, e in enumerate(earn)]
+    base = min(q, default=0)
+    if any(e > base + 1 for e in q):
+        raise PostconditionViolated(
+            f"bivalued market prices span exponents {base}..{max(q)}, not {{1, k}} (finding)"
+        )
+    one = Fraction(1)
+    return Pef1Solution(Allocation(n, tuple(owners)), tuple(k if e > base else one for e in q))
+
+
+def _require_pef1_mpb(inst: Instance, sol: Pef1Solution):
+    """The gate on a start: its prices make it MPB and pEF1."""
+    if not is_mpb_allocation(inst, sol.x, sol.p):
+        raise InvariantViolation("solution is not an MPB allocation")
+    if not is_pefk(inst, sol.x, sol.p, Fraction(1), 1):
+        raise InvariantViolation("solution is not pEF1")
 
 
 def _price_split(sol: Pef1Solution) -> Tuple[Fraction, List[Fraction]]:
@@ -373,10 +306,7 @@ def certificate_from_pef1(inst: Instance, sol: Pef1Solution) -> FriendlyCertific
     inequality compares one agent's own values, so scaling a row (as by
     1/alpha_i, which turns MPB values into prices) changes none of them.
     """
-    if not is_mpb_allocation(inst, sol.x, sol.p):
-        raise InvariantViolation("solution is not an MPB allocation")
-    if not is_pefk(inst, sol.x, sol.p, Fraction(1), 1):
-        raise InvariantViolation("solution is not pEF1")
+    _require_pef1_mpb(inst, sol)
     rho, top = _price_split(sol)
     nh = frozenset(i for i, t in enumerate(top) if t > rho)
     return FriendlyCertificate(Fraction(2), frozenset(range(inst.n)) - nh, nh, weak=False)
@@ -400,17 +330,14 @@ def solve_2efx(inst: Instance, budget: int = DEFAULT_BUDGET) -> SolveResult:
     return SolveResult(x, trace, "pef1", cert=cert, prices=sol.p, start=sol.x)
 
 
-def _bivalued_candidate(
-    inst: Instance, k: Fraction, lam: Fraction, sol: Pef1Solution, notes
-) -> Optional[SolveResult]:
-    """Run one {1,k}-priced pEF1+MPB candidate through the bivalued
-    pipeline. Returns None when a Phase-1 pick or a swap breaks MPB under
-    the start's prices (the caller then tries the next candidate)."""
+def _bivalued_candidate(inst: Instance, k: Fraction, sol: Pef1Solution) -> SolveResult:
+    """Run a {1,k}-priced pEF1+MPB start through the bivalued pipeline. A
+    Phase-1 pick or a swap that breaks MPB under the start's prices, which
+    would cost the PO certificate, raises PostconditionViolated."""
+    lam = 2 - 1 / k
     if is_alpha_efx(inst, sol.x, lam):
         trace = _trivial_trace(inst, sol.x, lam, "weak")
-        return SolveResult(
-            sol.x, trace, "bivalued", prices=sol.p, notes=notes + ["early-exit"]
-        )
+        return SolveResult(sol.x, trace, "bivalued", prices=sol.p, notes=["early-exit"])
     rho, top = _price_split(sol)
     if not rho < k:
         raise RhoNotLessThanK(
@@ -424,39 +351,27 @@ def _bivalued_candidate(
     for swap in trace.swaps:
         steps.append(chore_swap(steps[-1], *swap))
     if not all(is_mpb_allocation(inst, step, sol.p) for step in steps):
-        return None
-    return SolveResult(
-        x, trace, "bivalued", cert=cert, prices=sol.p, notes=notes, start=sol.x
-    )
+        raise PostconditionViolated(
+            "the swap framework broke MPB under the start's prices (finding)", trace
+        )
+    return SolveResult(x, trace, "bivalued", cert=cert, prices=sol.p, start=sol.x)
 
 
-def solve_bivalued(inst: Instance, budget: int = DEFAULT_BUDGET) -> SolveResult:
+def solve_bivalued(inst: Instance) -> SolveResult:
     """(2 - 1/k)-EFX + PO for {a, a*k}-valued instances, carrying an MPB price
     certificate for the final allocation.
 
-    {1,k}-priced pEF1+MPB starts are tried in lexicographic order until one
-    keeps the MPB property, and so PO, through the swap framework: any start
-    gives the EFX factor, but round-robin tie-breaks can lose MPB. With no
-    start, or none of the first CANDIDATE_CAP surviving, it raises
-    PostconditionViolated. The framework, MPB and EFX checks compare each
-    agent's own values, so they run on `inst` as given.
+    The start comes from `_bivalued_market`, passes the pEF1+MPB gate of
+    `certificate_from_pef1` (InvariantViolation if not), and runs once
+    through the swap framework. The framework, MPB and EFX checks compare
+    each agent's own values, so they run on `inst` as given.
     """
     k = inst.bivalued_k()
     if k is None:
         raise NotBivalued("instance has more than two distinct disutility values")
-    lam = 2 - 1 / k
-    tried = 0
-    starts = itertools.islice(_BivaluedSearch(inst, k, budget).iter_solutions(), CANDIDATE_CAP)
-    for tried, sol in enumerate(starts, 1):
-        skipped = [f"skipped {tried - 1} starting points that lost the MPB condition"]
-        res = _bivalued_candidate(inst, k, lam, sol, skipped if tried > 1 else [])
-        if res is not None:
-            return res
-    raise PostconditionViolated(
-        "no pEF1+MPB starting point yields a PO outcome within budget "
-        f"(tried {tried}; existence finding)" if tried
-        else "no {1,k}-priced pEF1+MPB allocation found within budget (existence finding)"
-    )
+    sol = _bivalued_market(inst, k)
+    _require_pef1_mpb(inst, sol)
+    return _bivalued_candidate(inst, k, sol)
 
 
 def _round_robin_two_phase(inst: Instance) -> Allocation:

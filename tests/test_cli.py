@@ -9,7 +9,12 @@ import pytest
 import choreswap
 from choreswap import pipelines
 from choreswap.cli import CSV_HEADER, _report_row, main, render_decimal
-from choreswap.errors import CouplingUnsatisfiable, RhoNotLessThanK
+from choreswap.errors import (
+    CertificateInvalid,
+    CouplingUnsatisfiable,
+    InvariantViolation,
+    RhoNotLessThanK,
+)
 from choreswap.model import UniformInt
 from fractions import Fraction
 
@@ -107,13 +112,34 @@ def test_solve_pef1_without_start_is_a_finding(tmp_path, capsys, monkeypatch):
 
 
 def test_solve_exits_1_when_the_search_exceeds_its_budget(tmp_path, capsys):
-    # 2^23 owner vectors exceed the default budget of 2^22; auto picks bivalued.
-    row = " ".join("12"[j % 2] for j in range(23))
+    # 2^23 owner vectors exceed the default budget of 2^22; three values
+    # route auto to pef1.
+    row = " ".join("123"[j % 3] for j in range(23))
     inst = write(tmp_path, "big.txt", f"2 23\n{row}\n{row}\n")
     assert main(["solve", inst]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "choreswap: error: 2^23 allocations exceed budget 4194304\n"
+
+
+def test_solve_bivalued_needs_no_search_budget(tmp_path, capsys):
+    # The same shape with two values: the market start walks no owner vectors.
+    row = " ".join("12"[j % 2] for j in range(23))
+    inst = write(tmp_path, "big.txt", f"2 23\n{row}\n{row}\n")
+    assert main(["solve", inst, "--verify"]) == 0
+    fields = capsys.readouterr().out.splitlines()[1].split(",")
+    assert fields[1] == "bivalued" and fields[6] == "po"
+
+
+def test_solve_exits_2_when_a_start_fails_its_gate(tmp_path, capsys, monkeypatch):
+    prices = (Fraction(1), Fraction(1), Fraction(2))
+    bad = pipelines.Pef1Solution(choreswap.Allocation(2, (0, 0, 0)), prices)
+    monkeypatch.setattr(pipelines, "_bivalued_market", lambda inst, k: bad)
+    inst = write(tmp_path, "biv.txt", "2 3\n1 1 2\n1 1 2\n")
+    assert main(["solve", inst, "--method", "bivalued"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "solve: finding: solution is not pEF1\n"
 
 
 @pytest.mark.parametrize("method, text", [("pef1", I1), ("small-m", I2)])
@@ -287,10 +313,19 @@ def test_bench_rejects_unknown_methods(tmp_path, capsys, monkeypatch, methods, b
     assert captured.err.startswith(f"choreswap: error: unknown method {bad!r}; choose from auto,")
 
 
-@pytest.mark.parametrize("finding", [RhoNotLessThanK, CouplingUnsatisfiable])
+@pytest.mark.parametrize(
+    "finding",
+    [
+        RhoNotLessThanK("injected"),
+        CouplingUnsatisfiable("injected"),
+        InvariantViolation("injected"),
+        CertificateInvalid(["injected"]),
+    ],
+    ids=lambda e: type(e).__name__,
+)
 def test_bench_exits_2_on_a_finding(tmp_path, capsys, monkeypatch, finding):
-    def raises(inst, budget):
-        raise finding("injected")
+    def raises(inst):
+        raise finding
 
     monkeypatch.setattr("choreswap.cli.solve_bivalued", raises)
     corpus = tmp_path / "corpus"
@@ -300,7 +335,7 @@ def test_bench_exits_2_on_a_finding(tmp_path, capsys, monkeypatch, finding):
     captured = capsys.readouterr()
     rows = captured.out.splitlines()[1:]
     assert len(rows) == 2
-    assert all(row.endswith(f",error:{finding.__name__}") for row in rows)
+    assert all(row.endswith(f",error:{type(finding).__name__}") for row in rows)
     assert "bench: 0 ok, 2 failed" in captured.err
 
 

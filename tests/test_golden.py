@@ -24,7 +24,7 @@ from choreswap.model import Bivalued, UniformInt
 
 from conftest import ROUNDED_SHAPES, rounded_fixture
 
-GOLDEN_DIGEST = "09ac0d7af228b314e690396ee31a032de99d602d1761ecb7dd825213ed4b88f4"
+GOLDEN_DIGEST = "92acca47bd0870cdeb57ca501f259f35ecf27f9e4e42ad667ec19a467d2ddb98"
 
 
 def _outcome(solve, inst):

@@ -11,7 +11,6 @@ from choreswap import (
     generate_random,
     is_alpha_efx,
     is_mpb_allocation,
-    is_pefk,
     is_po_bruteforce,
     search_pef1_mpb,
     solve_2efx,
@@ -32,7 +31,8 @@ from choreswap.errors import (
 )
 from choreswap.market import RatioConstraint
 from choreswap.model import Bivalued, UniformInt
-from choreswap.pipelines import Pef1Solution, _BivaluedSearch, certificate_from_pef1
+from choreswap.oracle import verify_trace
+from choreswap.pipelines import Pef1Solution, certificate_from_pef1
 
 from conftest import (
     HALF,
@@ -232,71 +232,7 @@ def test_solve_bivalued_scaled_values():
     assert is_po_bruteforce(inst, res.x).is_po
 
 
-def _checker_bivalued_solutions(norm, k):
-    """The {1,k}-priced pEF1+MPB solutions by the public checkers, in the
-    search's order: owner vectors lexicographically (no empty bundle when
-    m >= n), each with the first passing per-agent price option combo."""
-    n, m = norm.n, norm.m
-    one = Fraction(1)
-    out = []
-    for owners in itertools.product(range(n), repeat=m):
-        x = Allocation(n, owners)
-        bundles = x.bundles()
-        if m >= n and not all(bundles):
-            continue
-        options = []
-        for a, b in enumerate(bundles):
-            values = {norm.d[a][j] for j in b}
-            if not b:
-                options.append([{}])
-            elif k == 1:
-                options.append([{j: one for j in b}])
-            elif len(values) == 2:
-                options.append([{j: norm.d[a][j] for j in b}])
-            else:
-                options.append([{j: one for j in b}, {j: k for j in b}])
-        for combo in itertools.product(*options):
-            prices = {j: price for part in combo for j, price in part.items()}
-            p = tuple(prices[j] for j in range(m))
-            if is_mpb_allocation(norm, x, p) and is_pefk(norm, x, p, Fraction(1), 1):
-                out.append((owners, p))
-                break
-    return out
-
-
-def test_bivalued_search_matches_checker_enumeration():
-    # k = 5/2 and 3/2 give rows like {2, 5} after integer rescaling, so the
-    # leaf's earning scale and the pEF1 counting cut meet a non-integer k.
-    # n = 2 reaches m = 8, where the counting cut fires deep in the tree.
-    rng = random.Random(53)
-    ks = [Fraction(1), Fraction(3, 2), Fraction(2), Fraction(5, 2), Fraction(3), Fraction(5)]
-    max_m = {1: 6, 2: 8, 3: 6, 4: 5}
-    for trial in range(300):
-        n = rng.randint(1, 4)
-        m = rng.randint(0, max_m[n])
-        inst = generate_random(rng.randrange(1 << 30), n, m, Bivalued(rng.choice(ks)))
-        # Least value 1, so the checker can price chores at their values.
-        lo = min((v for row in inst.d for v in row), default=Fraction(1))
-        norm = inst.scale_rows([1 / lo] * n)
-        k = norm.bivalued_k()
-        found = [
-            (sol.x.owners, sol.p)
-            for sol in _BivaluedSearch(norm, k, 10**6).iter_solutions()
-        ]
-        assert found == _checker_bivalued_solutions(norm, k), (trial, norm.d)
-
-
-def test_pef1_counting_cut_needs_whole_chores():
-    # k = 3/2 in units of 1/2: price 1 is 2 units, price k is 3. Agent 0
-    # holds three chores, so it earns at least 4 past its top price; agent
-    # 1 holds none and earns at most 3 per chore, so it needs ceil(4/3) = 2.
-    # A floor here only weakens the cut, which no solution list shows.
-    lb, cm = [4, -2], [9, 0]
-    assert pipelines._starved(lb, cm, 3, 1)
-    assert not pipelines._starved(lb, cm, 3, 2)
-
-
-@pytest.mark.parametrize("search", [search_pef1_mpb, solve_bivalued])
+@pytest.mark.parametrize("search", [search_pef1_mpb])
 def test_search_refuses_more_owner_vectors_than_budget(search):
     inst = make_instance([[1, 2, 1, 2, 1], [2, 1, 2, 1, 2]])
     with pytest.raises(BudgetExceeded, match=r"^2\^5 allocations exceed budget 31$"):
@@ -305,19 +241,18 @@ def test_search_refuses_more_owner_vectors_than_budget(search):
 
 
 def test_solve_bivalued_raises_without_start(monkeypatch):
-    monkeypatch.setattr(_BivaluedSearch, "iter_solutions", lambda self: iter(()))
-    with pytest.raises(PostconditionViolated) as e:
-        solve_bivalued(make_instance([[1, 1, 2], [1, 1, 2]]))
-    assert str(e.value) == (
-        "no {1,k}-priced pEF1+MPB allocation found within budget (existence finding)"
-    )
-    assert e.value.trace is None
+    # A start that fails the pEF1+MPB gate is a finding, not a result.
+    inst = make_instance([[1, 1, 2], [1, 1, 2]])
+    bad = Pef1Solution(Allocation(2, (0, 0, 0)), (Fraction(1), Fraction(1), Fraction(2)))
+    monkeypatch.setattr(pipelines, "_bivalued_market", lambda inst, k: bad)
+    with pytest.raises(InvariantViolation, match="^solution is not pEF1$"):
+        solve_bivalued(inst)
 
 
 def test_every_small_bivalued_matrix_has_a_1_k_start():
-    # solve_bivalued has no start other than the {1,k}-priced search, so
-    # every {1,k} matrix needs one: here all of them over {1, 5/2} with
-    # n = 2, m <= 6 and n = 3, m <= 4, plus the single-valued shapes.
+    # Every {1, 5/2} matrix with n = 2, m <= 6 and n = 3, m <= 4, plus the
+    # single-valued shapes, gets a {1,k}-priced start from the market loop
+    # and a (2 - 1/k)-EFX output that stays MPB under those prices.
     k = Fraction(5, 2)
     shapes = [(2, m) for m in range(1, 7)] + [(3, m) for m in range(1, 5)]
     instances = [
@@ -329,26 +264,42 @@ def test_every_small_bivalued_matrix_has_a_1_k_start():
     assert len(instances) == 10180
     for inst in instances:
         k_inst = inst.bivalued_k()
-        sol = next(_BivaluedSearch(inst, k_inst, 10**6).iter_solutions(), None)
-        assert sol is not None and set(sol.p) <= {1, k_inst}, inst.d
+        res = solve_bivalued(inst)
+        assert set(res.prices) <= {1, k_inst}, inst.d
+        assert efx_factor(inst, res.x) <= 2 - 1 / k_inst, inst.d
+        assert is_mpb_allocation(inst, res.x, res.prices), inst.d
 
 
-def test_solve_bivalued_counts_only_the_starts_it_tried(monkeypatch):
-    inst = make_instance([[1, 2, 1, 2, 1], [2, 1, 2, 1, 2]])
-    k = inst.bivalued_k()
-    assert len(list(_BivaluedSearch(inst, k, 10**6).iter_solutions())) > 2
-    calls = []
+@pytest.mark.parametrize("k", [Fraction(3), Fraction(5, 2)])
+@pytest.mark.parametrize("n, m, seeds", [(10, 100, (0, 1, 2)), (20, 200, (0, 1))])
+def test_bivalued_ladder_is_verified(n, m, seeds, k):
+    # Shapes far past the n^m owner vectors an exhaustive search can walk.
+    for seed in seeds:
+        inst = generate_random(seed, n, m, Bivalued(k))
+        res = solve_bivalued(inst)
+        assert is_alpha_efx(inst, res.x, 2 - 1 / k), seed
+        assert is_mpb_allocation(inst, res.x, res.prices), seed
+        if res.start is not None:
+            assert verify_trace(inst, res.start, res.cert, res.trace), seed
 
-    def reject(inst, k, lam, sol, notes):
-        calls.append(sol)
-        return None
 
-    monkeypatch.setattr(pipelines, "CANDIDATE_CAP", 2)
-    monkeypatch.setattr(pipelines, "_bivalued_candidate", reject)
-    with pytest.raises(PostconditionViolated) as e:
+def test_solve_bivalued_raises_when_the_framework_loses_mpb(monkeypatch):
+    # This instance runs the framework with one swap. The first MPB test
+    # (the gate) passes and every replayed step then fails.
+    inst = make_instance([[1, 1, 3], [1, 1, 3]])
+    assert solve_bivalued(inst).trace.swap_count == 1
+    answers = iter([True])
+    monkeypatch.setattr(pipelines, "is_mpb_allocation", lambda *args: next(answers, False))
+    with pytest.raises(PostconditionViolated, match="broke MPB") as e:
         solve_bivalued(inst)
-    assert len(calls) == 2
-    assert "(tried 2; existence finding)" in str(e.value)
+    assert e.value.trace.swap_count == 1
+
+
+def test_bivalued_market_step_cap_is_a_finding(monkeypatch):
+    # The start is not pEF1 for [[1, 1, 2], [1, 1, 2]], so one step is needed.
+    monkeypatch.setattr(pipelines, "MARKET_STEPS_PER_NM", 0)
+    with pytest.raises(PostconditionViolated, match="passed its cap of 0 steps"):
+        solve_bivalued(make_instance([[1, 1, 2], [1, 1, 2]]))
 
 
 def test_solve_bivalued_rejects_three_values():
