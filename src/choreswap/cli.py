@@ -72,6 +72,7 @@ EXIT_USAGE = 1
 EXIT_FINDING = 2
 
 METHODS = ("auto", "pef1", "bivalued", "small-m", "er4")
+BUDGET_HELP = "allocations the brute-force PO check may walk, and couplings er4 may try"
 
 # Reportable findings, exit 2: a failed postcondition, a start that fails
 # its gate, a certificate a pipeline built that does not validate, or an
@@ -179,7 +180,7 @@ def _run_method(inst, method: str, args) -> SolveResult:
     if method == "bivalued":
         return solve_bivalued(inst)
     if method == "pef1":
-        return solve_2efx(inst, args.budget)
+        return solve_2efx(inst)
     if method == "er4":
         alloc = parse_allocation(Path(args.alloc).read_text(), inst.n, inst.m)
         prices = parse_prices(Path(args.prices).read_text(), inst.m)
@@ -409,7 +410,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--prices", help="rounded input prices (er4)")
     s.add_argument("--out", help="write the allocation here")
     s.add_argument("--trace", help="write the swap trace log here")
-    s.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
+    s.add_argument("--budget", type=int, default=DEFAULT_BUDGET, help=BUDGET_HELP)
     s.add_argument("--verify", action="store_true", help="replay the trace independently")
     s.set_defaults(func=cmd_solve)
 
@@ -433,7 +434,7 @@ def build_parser() -> argparse.ArgumentParser:
     b.add_argument("--out", help="write the CSV here instead of stdout")
     b.add_argument("--alloc")
     b.add_argument("--prices")
-    b.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
+    b.add_argument("--budget", type=int, default=DEFAULT_BUDGET, help=BUDGET_HELP)
     b.add_argument("--verify", action="store_true", help="replay every trace independently")
     b.set_defaults(func=cmd_bench)
     return parser

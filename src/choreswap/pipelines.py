@@ -1,8 +1,9 @@
 """Application pipelines: each produces a starting allocation plus a valid
 friendly certificate, then delegates to the swap framework.
 
-- solve_2efx: pEF1+MPB search, strict certificate with lambda = 2
-- solve_bivalued: {1,k} prices, weak certificate with lambda = 2 - 1/k, PO
+- solve_2efx: pEF1+MPB market start, strict certificate with lambda = 2
+- solve_bivalued: the same start, whose prices lie in {1,k}, weak
+  certificate with lambda = 2 - 1/k, PO
 - solve_small_m: two-phase round robin, weak certificate with lambda = 1
 - solve_4efx: rounded earning-restricted input, strict certificate, lambda = 4
 """
@@ -10,7 +11,7 @@ friendly certificate, then delegates to the swap framework.
 from __future__ import annotations
 
 import itertools
-import operator
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
@@ -27,11 +28,10 @@ from .errors import (
 )
 from .fairness import DEFAULT_BUDGET, efx_factor, is_alpha_efx, is_pefk
 from .framework import FriendlyCertificate, SwapTrace, chore_swap, run_framework
-from .market import is_mpb_allocation, ratio_labels
+from .market import is_mpb_allocation
 from .model import Allocation, Instance, allocation_from_bundles
 
-NO_PEF1_MPB = "no pEF1+MPB allocation found within budget (existence finding)"
-MARKET_STEPS_PER_NM = 50  # the bivalued market loop stops past 50 * n * m steps
+MARKET_STEPS_PER_NM = 50  # the market loop stops past 50 * n * m steps
 
 
 @dataclass(frozen=True)
@@ -59,177 +59,67 @@ def _trivial_trace(inst: Instance, X: Allocation, lam: Fraction, mode: str) -> S
     return t
 
 
-class _Pef1Search:
-    """Lexicographic DFS over owner vectors. Two cuts remove only subtrees
-    without a solution, so `iter_solutions` yields the solutions of the
-    unpruned n^m enumeration in the same order, and the first is the same.
-
-    - 2-cycle cut. With p_j = rows[o][j] * t_o, MPB needs t_k <= c * t_i
-      for c = cmin[k][i], the least rows[i][j] / rows[k][j] over j in X_k.
-      A pair with cmin[k][i] * cmin[i][k] < 1 is infeasible, and stays so
-      below, as cmin only falls along a path. A product changes only with
-      one of its factors, so testing the entries a placement tightened
-      tests every product when it changes: the cuts of testing all pairs.
-    - Fill rule. With m >= n, a leaf with an empty bundle fails pEF1 (a
-      two-chore bundle's positive rest exceeds the empty bundle's zero
-      earning), so when the chores left equal the empty bundles, chore j
-      goes to an empty agent. With m < n, m - j < empties at every node,
-      so the rule never fires.
-    """
-
-    def __init__(self, inst: Instance, budget: int):
-        n, m = self.n, self.m = inst.n, inst.m
-        if n**m > budget:
-            raise BudgetExceeded(f"{n}^{m} allocations exceed budget {budget}")
-        self.rows = inst.integer_rows()
-        self.cols = tuple(zip(*self.rows))  # cols[j][i] = rows[i][j]
-        self.owners = [None] * m
-        # cmin[k][i] as an integer pair (num, den), compared by
-        # cross-multiplication; None while X_k is empty.
-        self.cmin = [[None] * n for _ in range(n)]
-        self.sums = [0] * n
-        self.maxv = [0] * n
-        self.counts = [0] * n
-
-    def leaf_check(self):
-        """Return prices (tuple of Fractions) if the current complete
-        allocation admits MPB + pEF1 prices, else None.
-
-        MPB is t_u <= cmin[u][v] * t_v and pEF1 is
-        t_u <= sums[v] / (sums[u] - maxv[u]) * t_v, both integer pairs.
-        Each ordered pair keeps its smaller coefficient: in the full list,
-        sorted by (u, v, c), the smaller c relaxes first (or holds), after
-        which x_u <= c * x_v and the larger c never relaxes, in any pass.
-        """
-        n, cmin, sums, maxv = self.n, self.cmin, self.sums, self.maxv
-        edges = []
-        for u in range(n):
-            rest = sums[u] - maxv[u]
-            for v in range(n):
-                if v == u:
-                    continue
-                c = cmin[u][v]
-                if rest > 0:
-                    if sums[v] == 0:
-                        return None
-                    if c is None or sums[v] * c[1] < c[0] * rest:
-                        c = (sums[v], rest)
-                if c is not None:
-                    edges.append((u, v, *c))
-        labels, cycle = ratio_labels(n, edges)
-        if cycle is not None:
-            return None
-        return tuple(
-            Fraction(self.rows[o][j] * labels[o][0], labels[o][1])
-            for j, o in enumerate(self.owners)
-        )
-
-    def iter_solutions(self):
-        """All feasible solutions in owner-vector lexicographic order."""
-        for owners, prices in self._dfs(0):
-            yield Pef1Solution(Allocation(self.n, owners), prices)
-
-    def _dfs(self, j: int):
-        if j == self.m:
-            prices = self.leaf_check()
-            if prices is not None:
-                yield tuple(self.owners), prices
-            return
-        n, cmin, counts = self.n, self.cmin, self.counts
-        col = self.cols[j]
-        fill = self.m - j == counts.count(0)
-        for a in range(n):
-            if fill and counts[a]:
-                continue
-            w = col[a]
-            mine = cmin[a]
-            undo = []
-            for i in range(n):
-                if i == a:
-                    continue
-                cur = mine[i]
-                w_i = col[i]
-                if cur is None or w_i * cur[1] < cur[0] * w:
-                    undo.append((i, cur))
-                    mine[i] = (w_i, w)
-                    back = cmin[i][a]
-                    if back is not None and w_i * back[0] < w * back[1]:
-                        break  # the 2-cycle cut
-            else:
-                self.owners[j] = a
-                self.sums[a] += w
-                om = self.maxv[a]
-                if w > om:
-                    self.maxv[a] = w
-                counts[a] += 1
-                yield from self._dfs(j + 1)
-                counts[a] -= 1
-                self.maxv[a] = om
-                self.sums[a] -= w
-            for i, cur in undo:
-                mine[i] = cur
-
-
-def search_pef1_mpb(inst: Instance, budget: int = DEFAULT_BUDGET) -> Optional[Pef1Solution]:
-    """First complete allocation, in owner-vector lexicographic order, that
-    admits prices making it an MPB allocation that is pEF1."""
-    return next(_Pef1Search(inst, budget).iter_solutions(), None)
-
-
-def _high_bits(inst: Instance) -> list:
-    """high[a][j] = [d[a][j] is the greater of the two values], read from
-    the integer rows: a row whose least value is the instance's least
-    (lo) is high where it exceeds that least, any other row is high
-    everywhere. Only the n row minima are compared as Fractions."""
+def _common_rows(inst: Instance):
+    """d times the lcm of all its denominators: integer rows on one scale,
+    so the values of different agents compare. Row i of the integer rows
+    is d[i] times the lcm s_i of its own denominators, read off its first
+    entry; with every s_i = 1 they are the common rows."""
     rows = inst.integer_rows()
     if not inst.m:
-        return [[] for _ in rows]
-    least = [min(r) for r in rows]
-    row_lo = [d[r.index(v)] for d, r, v in zip(inst.d, rows, least)]
-    lo = min(row_lo)
-    return [
-        [int(x != v) for x in r] if rl == lo else [1] * len(r)
-        for r, v, rl in zip(rows, least, row_lo)
-    ]
+        return rows
+    scales = [r[0] * d[0].denominator // d[0].numerator for r, d in zip(rows, inst.d)]
+    scale = math.lcm(*scales)
+    if scale == 1:
+        return rows
+    return [[v * (scale // s) for v in r] for r, s in zip(rows, scales)]
 
 
-def _bivalued_market(inst: Instance, k: Fraction) -> Pef1Solution:
-    """A {1,k}-priced pEF1+MPB allocation from the price-lowering market
-    loop for bivalued chores (Garg, Murhekar and Qin, AAAI 2022; Ebadian,
-    Peters and Shah, AAMAS 2022).
+def _mpb_ratio(row, price) -> Tuple[int, int]:
+    """An agent's least value per price, min_j row[j] / price[j], as an
+    integer pair compared by cross-multiplication."""
+    a, b = row[0], price[0]
+    for r, p in zip(row, price):
+        if r * b < a * p:
+            a, b = r, p
+    return a, b
 
-    Prices are p_j = k^q[j] on integer exponents q. With high =
-    `_high_bits(inst)`, agent a pays lo * k^(high[a][j] - q[j]) per buck on
-    chore j, and k^e orders as e does, so MPB compares integer exponents.
-    Every step keeps each bundle on its owner's least exponent (MPB):
 
-    - Start: chore j goes to the lowest-index agent that values it low
-      (agent 0 if none), with q[j] = high[owner][j]. Every exponent is
-      then at least 0 and each owner's are 0.
+def search_pef1_mpb(inst: Instance) -> Pef1Solution:
+    """A pEF1+MPB allocation with its prices, from the price-lowering
+    market loop for chores (Garg, Murhekar and Qin, AAAI 2022).
+
+    Prices are integers on the scale of `_common_rows`, and agent i's MPB
+    chores are those attaining `_mpb_ratio`. Every step keeps each chore
+    MPB for its owner:
+
+    - Start: chore j goes to the lowest-index agent with the least value
+      for it, priced at that value.
     - Stop when pEF1 holds: max_i earning_i - top_i <= the least earning.
     - Move: a BFS from the lowest-index least earner L, agents in BFS
       order and chores in index order, follows MPB edges i -> j -> h to
       owners h it has not reached. It moves the first chore j with
       earning_h - p_j > earning_L to i, for which j is MPB.
-    - Lower: with no such chore, q falls by 1 (beta = 1/k) on every chore
-      held in L's component. A chore outside it is not MPB for an agent
-      inside (its owner would be inside), so its exponent stays at least
-      that agent's; an agent outside pays more per buck only on
-      component chores.
-      With k = 1 every chore is MPB for every agent, so a move always
-      exists while pEF1 fails, and q stays 0.
+    - Lower: with no such chore, the prices of every chore held in L's
+      component fall by the largest beta < 1 at which a chore held
+      outside becomes MPB for an agent inside. Inside agents then pay
+      more per buck only on inside chores, outside agents only on
+      chores they do not hold, so MPB holds. The inside prices are
+      scaled by beta's numerator, the outside ones by its denominator,
+      and all divided by their gcd.
+
+    A pEF1 violator is never reached: it would be reached through a chore
+    j with earning - p_j <= earning_L, and p_j is at most its top price.
+    So a chore is held outside whenever the loop lowers. With bivalued
+    values every beta is a power of 1/k.
 
     The loop is not known to terminate on every instance: more than
-    MARKET_STEPS_PER_NM * n * m steps raises PostconditionViolated, as do
-    final exponents spanning more than one. Prices are normalized so the
-    least is 1.
+    MARKET_STEPS_PER_NM * n * m steps raises PostconditionViolated.
+    Prices are normalized so the least is 1.
     """
     n, m = inst.n, inst.m
-    high = _high_bits(inst)
-    owners = [col.index(0) if 0 in col else 0 for col in zip(*high)]
-    q = [high[o][j] for j, o in enumerate(owners)]
-    a, b = k.numerator, k.denominator
-    price = [a if e else b for e in q]  # c * k^q[j] for one c: an integer
+    rows = _common_rows(inst)
+    owners = [col.index(min(col)) for col in zip(*rows)]
+    price = [rows[o][j] for j, o in enumerate(owners)]
     earn = [0] * n
     for j, o in enumerate(owners):
         earn[o] += price[j]
@@ -242,17 +132,18 @@ def _bivalued_market(inst: Instance, k: Fraction) -> Pef1Solution:
             break
         if step == MARKET_STEPS_PER_NM * n * m:
             raise PostconditionViolated(
-                f"the bivalued market loop passed its cap of {step} steps (finding)"
+                f"the market loop passed its cap of {step} steps (finding)"
             )
         low = earn.index(least)
-        mpb = [min(map(operator.sub, row, q)) for row in high]
         comp, inside = [low], [False] * n
         inside[low] = True
+        ratio = {}
         move = None
         for i in comp:
-            row, e = high[i], mpb[i]
+            row = rows[i]
+            a, b = ratio[i] = _mpb_ratio(row, price)
             for j, h in enumerate(owners):
-                if inside[h] or row[j] - q[j] != e:
+                if inside[h] or row[j] * b != a * price[j]:
                     continue
                 if earn[h] - price[j] > least:
                     move = i, j, h
@@ -266,20 +157,22 @@ def _bivalued_market(inst: Instance, k: Fraction) -> Pef1Solution:
             owners[j] = i
             earn[h] -= price[j]
             earn[i] += price[j]
-        else:
-            # p / k inside and p outside, all scaled by a, stay integers:
-            # b * p inside and a * p outside.
-            for j, o in enumerate(owners):
-                q[j] -= inside[o]
-                price[j] *= b if inside[o] else a
-            earn = [e * (b if inside[i] else a) for i, e in enumerate(earn)]
-    base = min(q, default=0)
-    if any(e > base + 1 for e in q):
-        raise PostconditionViolated(
-            f"bivalued market prices span exponents {base}..{max(q)}, not {{1, k}} (finding)"
-        )
-    one = Fraction(1)
-    return Pef1Solution(Allocation(n, tuple(owners)), tuple(k if e > base else one for e in q))
+            continue
+        # beta = max a * p_j / (b * row[j]) over inside agents (a / b their
+        # MPB ratio) and chores j held outside.
+        num, den = 0, 1
+        for i in comp:
+            row, (a, b) = rows[i], ratio[i]
+            for j, h in enumerate(owners):
+                if not inside[h] and a * price[j] * den > num * b * row[j]:
+                    num, den = a * price[j], b * row[j]
+        price = [p * (num if inside[o] else den) for p, o in zip(price, owners)]
+        earn = [e * (num if inside[i] else den) for i, e in enumerate(earn)]
+        g = math.gcd(*price)
+        price = [p // g for p in price]
+        earn = [e // g for e in earn]
+    least = min(price, default=1)
+    return Pef1Solution(Allocation(n, tuple(owners)), tuple(Fraction(p, least) for p in price))
 
 
 def _require_pef1_mpb(inst: Instance, sol: Pef1Solution):
@@ -312,14 +205,10 @@ def certificate_from_pef1(inst: Instance, sol: Pef1Solution) -> FriendlyCertific
     return FriendlyCertificate(Fraction(2), frozenset(range(inst.n)) - nh, nh, weak=False)
 
 
-def solve_2efx(inst: Instance, budget: int = DEFAULT_BUDGET) -> SolveResult:
-    """pEF1+MPB search, certificate construction, swap framework. The
-    output is always verified 2-EFX. A search that finds no pEF1+MPB
-    allocation raises PostconditionViolated: that would itself be a
-    reportable finding."""
-    sol = search_pef1_mpb(inst, budget)
-    if sol is None:
-        raise PostconditionViolated(NO_PEF1_MPB)
+def solve_2efx(inst: Instance) -> SolveResult:
+    """pEF1+MPB market start, certificate construction, swap framework.
+    The output is always verified 2-EFX."""
+    sol = search_pef1_mpb(inst)
     if any(not b for b in sol.x.bundles()):
         # Only reachable when m < n: the pEF1 prices force singleton
         # bundles, which are exactly EFX already.
@@ -361,15 +250,19 @@ def solve_bivalued(inst: Instance) -> SolveResult:
     """(2 - 1/k)-EFX + PO for {a, a*k}-valued instances, carrying an MPB price
     certificate for the final allocation.
 
-    The start comes from `_bivalued_market`, passes the pEF1+MPB gate of
-    `certificate_from_pef1` (InvariantViolation if not), and runs once
-    through the swap framework. The framework, MPB and EFX checks compare
-    each agent's own values, so they run on `inst` as given.
+    The start comes from `search_pef1_mpb`, whose prices must lie in
+    {1, k} (PostconditionViolated if not) and which passes the pEF1+MPB
+    gate of `certificate_from_pef1` (InvariantViolation if not), and runs
+    once through the swap framework. The framework, MPB and EFX checks
+    compare each agent's own values, so they run on `inst` as given.
     """
     k = inst.bivalued_k()
     if k is None:
         raise NotBivalued("instance has more than two distinct disutility values")
-    sol = _bivalued_market(inst, k)
+    sol = search_pef1_mpb(inst)
+    if not all(p == 1 or p == k for p in sol.p):
+        span = ", ".join(map(str, sorted(set(sol.p))))
+        raise PostconditionViolated(f"market prices {{{span}}} are not in {{1, {k}}} (finding)")
     _require_pef1_mpb(inst, sol)
     return _bivalued_candidate(inst, k, sol)
 

@@ -48,7 +48,7 @@ def test_criterion_1_two_efx_guarantee():
     worst = Fraction(0)
     for inst in corpus_2efx():
         res = solve_2efx(inst)
-        assert res is not None, "search_pef1_mpb failed (reportable finding)"
+        assert res is not None, "solve_2efx returned no result; a failed market start raises"
         factor = efx_factor(inst, res.x)
         assert factor <= 2
         worst = max(worst, factor)

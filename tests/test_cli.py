@@ -101,25 +101,26 @@ def test_solve_pef1_i1_with_outputs(tmp_path, capsys):
 
 
 def test_solve_pef1_without_start_is_a_finding(tmp_path, capsys, monkeypatch):
-    monkeypatch.setattr(pipelines._Pef1Search, "iter_solutions", lambda self: iter(()))
+    bad = pipelines.Pef1Solution(choreswap.Allocation(2, (1, 0, 0)), (Fraction(1),) * 3)
+    monkeypatch.setattr(pipelines, "search_pef1_mpb", lambda inst: bad)
     inst = write(tmp_path, "i1.txt", I1)
     assert main(["solve", inst, "--method", "pef1"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == (
-        "solve: no pEF1+MPB allocation found within budget (existence finding)\n"
-    )
+    assert captured.err == "solve: finding: solution is not an MPB allocation\n"
 
 
-def test_solve_exits_1_when_the_search_exceeds_its_budget(tmp_path, capsys):
-    # 2^23 owner vectors exceed the default budget of 2^22; three values
-    # route auto to pef1.
+def test_solve_pef1_needs_no_search_budget(tmp_path, capsys):
+    # 2^23 owner vectors, past the default budget of 2^22; three values
+    # route auto to pef1, and the market start walks no owner vectors.
     row = " ".join("123"[j % 3] for j in range(23))
     inst = write(tmp_path, "big.txt", f"2 23\n{row}\n{row}\n")
-    assert main(["solve", inst]) == 1
+    assert main(["solve", inst, "--verify"]) == 0
     captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == "choreswap: error: 2^23 allocations exceed budget 4194304\n"
+    fields = captured.out.splitlines()[1].split(",")
+    assert fields[1:3] == ["pef1", "23/21"]
+    assert fields[4] == "0" and fields[6] == "po"
+    assert captured.err == "verify: ok\n"
 
 
 def test_solve_bivalued_needs_no_search_budget(tmp_path, capsys):
@@ -134,7 +135,7 @@ def test_solve_bivalued_needs_no_search_budget(tmp_path, capsys):
 def test_solve_exits_2_when_a_start_fails_its_gate(tmp_path, capsys, monkeypatch):
     prices = (Fraction(1), Fraction(1), Fraction(2))
     bad = pipelines.Pef1Solution(choreswap.Allocation(2, (0, 0, 0)), prices)
-    monkeypatch.setattr(pipelines, "_bivalued_market", lambda inst, k: bad)
+    monkeypatch.setattr(pipelines, "search_pef1_mpb", lambda inst: bad)
     inst = write(tmp_path, "biv.txt", "2 3\n1 1 2\n1 1 2\n")
     assert main(["solve", inst, "--method", "bivalued"]) == 2
     captured = capsys.readouterr()
@@ -381,7 +382,7 @@ def test_bench_golden_pinned_seeds(tmp_path, capsys):
     masked = [re.sub(r",[0-9.]+,(?=[^,]*$)", ",MS,", r) for r in rows[1:]]
     assert masked == [
         "gen-n2-m5-s21.txt,pef1,14/13,1.0769230769230769231,0,strict,po,MS,",
-        "gen-n2-m5-s22.txt,pef1,5/4,1.25,0,strict,po,MS,",
+        "gen-n2-m5-s22.txt,pef1,7/11,0.63636363636363636364,0,strict,po,MS,",
     ]
 
 

@@ -24,7 +24,7 @@ from choreswap.model import Bivalued, UniformInt
 
 from conftest import ROUNDED_SHAPES, rounded_fixture
 
-GOLDEN_DIGEST = "92acca47bd0870cdeb57ca501f259f35ecf27f9e4e42ad667ec19a467d2ddb98"
+GOLDEN_DIGEST = "d42de42da4685418db704eb22166d810f9aa39854668b4a80179a16a81e6c863"
 
 
 def _outcome(solve, inst):

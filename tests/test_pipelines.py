@@ -29,7 +29,6 @@ from choreswap.errors import (
     RoundedInputInvalid,
     TooManyChores,
 )
-from choreswap.market import RatioConstraint
 from choreswap.model import Bivalued, UniformInt
 from choreswap.oracle import verify_trace
 from choreswap.pipelines import Pef1Solution, certificate_from_pef1
@@ -45,8 +44,10 @@ from conftest import (
 
 
 def test_search_pef1_mpb_i1_golden():
+    # Every chore starts with agent 0 (ties go to the lowest index); one
+    # move to the least earner, agent 1, makes the start pEF1.
     sol = search_pef1_mpb(inst_i1())
-    assert sol.x.owners == (0, 0, 1)
+    assert sol.x.owners == (1, 0, 0)
     assert sol.p == (Fraction(1), Fraction(1), Fraction(10))
 
 
@@ -55,100 +56,6 @@ def test_search_pef1_mpb_single_agent():
     sol = search_pef1_mpb(inst)
     assert sol.x.owners == (0, 0, 0)
     assert is_mpb_allocation(inst, sol.x, sol.p)
-
-
-def _reference_bellman_ford(n, cons):
-    """Fraction labels from 1, relaxed in sorted (u, v, c) order; None if a
-    relaxation survives n passes."""
-    cons = sorted(cons, key=lambda c: (c.u, c.v, c.c))
-    labels = [Fraction(1)] * n
-    for _ in range(n):
-        changed = False
-        for c in cons:
-            if c.c * labels[c.v] < labels[c.u]:
-                labels[c.u] = c.c * labels[c.v]
-                changed = True
-        if not changed:
-            return labels
-    return None if any(c.c * labels[c.v] < labels[c.u] for c in cons) else labels
-
-
-class _ReferencePef1Search(pipelines._Pef1Search):
-    """The pEF1+MPB leaf as RatioConstraint lists rebuilt from the owner
-    vector: one per MPB pair and one per pEF1 pair, repeated (u, v) pairs
-    kept."""
-
-    def leaf_check(self):
-        n, rows = self.n, self.rows
-        bundles = [[j for j, o in enumerate(self.owners) if o == a] for a in range(n)]
-        sums = [sum(rows[a][j] for j in b) for a, b in enumerate(bundles)]
-        cons = []
-        for k, b in enumerate(bundles):
-            for i in range(n):
-                if b and i != k:
-                    c = min(Fraction(rows[i][j], rows[k][j]) for j in b)
-                    cons.append(RatioConstraint(k, i, c))
-        for i, b in enumerate(bundles):
-            rest = sums[i] - max((rows[i][j] for j in b), default=0)
-            for h in range(n):
-                if rest > 0 and h != i:
-                    if sums[h] == 0:
-                        return None
-                    cons.append(RatioConstraint(i, h, Fraction(sums[h], rest)))
-        labels = _reference_bellman_ford(n, cons)
-        if labels is None:
-            return None
-        return tuple(rows[o][j] * labels[o] for j, o in enumerate(self.owners))
-
-
-def test_pef1_leaf_matches_fraction_reference():
-    # Every solution in DFS order, owners and prices, on uniform and
-    # bivalued rows, a third rescaled by fractional row factors.
-    rng = random.Random(97)
-    ks = [Fraction(2), Fraction(3), Fraction(5, 2)]
-    for trial in range(300):
-        n = rng.randint(1, 4)
-        m = rng.randint(0, (8, 8, 7, 6)[n - 1])
-        dist = Bivalued(rng.choice(ks)) if trial % 2 else UniformInt(1, 20)
-        inst = generate_random(rng.randrange(1 << 30), n, m, dist)
-        if trial % 3 == 0:
-            inst = inst.scale_rows(
-                [Fraction(rng.randint(1, 9), rng.randint(1, 9)) for _ in range(n)]
-            )
-        got = [(s.x.owners, s.p) for s in pipelines._Pef1Search(inst, 10**6).iter_solutions()]
-        want = [(s.x.owners, s.p) for s in _ReferencePef1Search(inst, 10**6).iter_solutions()]
-        assert got == want, (trial, inst.d)
-
-
-def _unpruned_solutions(inst):
-    """Every owner vector in lexicographic order, each decided by the
-    Fraction reference leaf, with no cut."""
-    ref = _ReferencePef1Search(inst, 10**6)
-    out = []
-    for owners in itertools.product(range(inst.n), repeat=inst.m):
-        ref.owners = list(owners)
-        prices = ref.leaf_check()
-        if prices is not None:
-            out.append((owners, prices))
-    return out
-
-
-def test_pef1_pruning_keeps_every_solution():
-    # The 2-cycle cut and the fill rule may only remove subtrees without a
-    # solution. Bivalued rows make 2-cycle products of exactly 1 common.
-    rng = random.Random(4242)
-    few_chores = 0
-    for trial in range(240):
-        n = rng.randint(1, 4)
-        m = rng.randint(0, (7, 7, 5, 4)[n - 1])
-        dist = Bivalued(Fraction(rng.choice((2, 3)))) if trial % 2 else UniformInt(1, 9)
-        inst = generate_random(rng.randrange(1 << 30), n, m, dist)
-        if trial % 3 == 0:
-            inst = inst.scale_rows([Fraction(rng.randint(1, 9), rng.randint(1, 9)) for _ in range(n)])
-        got = [(s.x.owners, s.p) for s in pipelines._Pef1Search(inst, 10**6).iter_solutions()]
-        assert got == _unpruned_solutions(inst), (trial, inst.d)
-        few_chores += m < n
-    assert few_chores > 20, few_chores
 
 
 def test_certificate_from_pef1_i1():
@@ -186,7 +93,8 @@ def test_solve_2efx_i1():
     inst = inst_i1()
     res = solve_2efx(inst)
     assert res.trace.final_factor == Fraction(1, 10)
-    assert res.trace.swap_count == 0
+    assert res.trace.swap_count == 1
+    assert verify_trace(inst, res.start, res.cert, res.trace)
     assert efx_factor(inst, res.x) <= 2
 
 
@@ -203,10 +111,18 @@ def test_solve_2efx_fewer_chores_than_agents():
 
 
 def test_solve_2efx_raises_without_start(monkeypatch):
-    monkeypatch.setattr(pipelines._Pef1Search, "iter_solutions", lambda self: iter(()))
-    with pytest.raises(PostconditionViolated) as e:
+    # A start that fails the pEF1+MPB gate is a finding, not a result.
+    bad = Pef1Solution(Allocation(2, (1, 0, 0)), (Fraction(1),) * 3)
+    monkeypatch.setattr(pipelines, "search_pef1_mpb", lambda inst: bad)
+    with pytest.raises(InvariantViolation, match="^solution is not an MPB allocation$"):
         solve_2efx(inst_i1())
-    assert str(e.value) == "no pEF1+MPB allocation found within budget (existence finding)"
+
+
+def test_solve_2efx_market_step_cap_is_a_finding(monkeypatch):
+    # The start of inst_i1 is not pEF1, so one step is needed.
+    monkeypatch.setattr(pipelines, "MARKET_STEPS_PER_NM", 0)
+    with pytest.raises(PostconditionViolated, match="passed its cap of 0 steps") as e:
+        solve_2efx(inst_i1())
     assert e.value.trace is None
 
 
@@ -232,20 +148,22 @@ def test_solve_bivalued_scaled_values():
     assert is_po_bruteforce(inst, res.x).is_po
 
 
-@pytest.mark.parametrize("search", [search_pef1_mpb])
-def test_search_refuses_more_owner_vectors_than_budget(search):
-    inst = make_instance([[1, 2, 1, 2, 1], [2, 1, 2, 1, 2]])
-    with pytest.raises(BudgetExceeded, match=r"^2\^5 allocations exceed budget 31$"):
-        search(inst, 31)
-    assert search(inst, 32) is not None
-
-
 def test_solve_bivalued_raises_without_start(monkeypatch):
     # A start that fails the pEF1+MPB gate is a finding, not a result.
     inst = make_instance([[1, 1, 2], [1, 1, 2]])
     bad = Pef1Solution(Allocation(2, (0, 0, 0)), (Fraction(1), Fraction(1), Fraction(2)))
-    monkeypatch.setattr(pipelines, "_bivalued_market", lambda inst, k: bad)
+    monkeypatch.setattr(pipelines, "search_pef1_mpb", lambda inst: bad)
     with pytest.raises(InvariantViolation, match="^solution is not pEF1$"):
+        solve_bivalued(inst)
+
+
+def test_solve_bivalued_rejects_a_start_priced_outside_1_k(monkeypatch):
+    # An MPB, pEF1 start whose prices are not in {1, k} is a finding.
+    inst = make_instance([[1, 2], [2, 1]])
+    off = Pef1Solution(Allocation(2, (0, 1)), (Fraction(1), Fraction(3, 2)))
+    assert is_mpb_allocation(inst, off.x, off.p)
+    monkeypatch.setattr(pipelines, "search_pef1_mpb", lambda inst: off)
+    with pytest.raises(PostconditionViolated, match=r"^market prices \{1, 3/2\} are not in \{1, 2\} \(finding\)$"):
         solve_bivalued(inst)
 
 
@@ -281,6 +199,27 @@ def test_bivalued_ladder_is_verified(n, m, seeds, k):
         assert is_mpb_allocation(inst, res.x, res.prices), seed
         if res.start is not None:
             assert verify_trace(inst, res.start, res.cert, res.trace), seed
+
+
+@pytest.mark.parametrize("n, m, seeds, scaled", [
+    (10, 100, (0, 1, 2), False),
+    (20, 200, (0, 1), False),
+    (10, 100, (7,), True),
+])
+def test_pef1_ladder_is_verified(n, m, seeds, scaled):
+    # Shapes far past the n^m owner vectors an exhaustive search can walk;
+    # the scaled case gives each row a fractional factor.
+    rng = random.Random(5)
+    for seed in seeds:
+        inst = generate_random(seed, n, m, UniformInt(1, 20))
+        if scaled:
+            inst = inst.scale_rows([Fraction(rng.randint(1, 9), rng.randint(1, 9)) for _ in range(n)])
+        res = solve_2efx(inst)
+        assert is_alpha_efx(inst, res.x, 2), seed
+        if res.start is not None:
+            assert verify_trace(inst, res.start, res.cert, res.trace), seed
+        if res.trace.swap_count == 0:
+            assert is_mpb_allocation(inst, res.x, res.prices), seed
 
 
 def test_solve_bivalued_raises_when_the_framework_loses_mpb(monkeypatch):
