@@ -1,8 +1,9 @@
 """Command line interface: gen, solve, check, bench.
 
-Exit codes: 0 success, 1 usage or IO or input-validation error, 2 a
-postcondition failure or a reportable finding (always with the trace or
-witness dumped to stderr).
+Exit codes: 0 success, 1 usage or IO or input-validation error (for
+bench also a case that failed without a finding), 2 a postcondition
+failure or a reportable finding (always with the trace or witness
+dumped to stderr).
 
 Every factor printed in a report is recomputed by the independent
 checker; a solver/checker disagreement aborts with exit 2. Decimal
@@ -383,7 +384,9 @@ def cmd_bench(args) -> int:
         f"mean swaps {mean_swaps}",
         file=sys.stderr,
     )
-    return EXIT_FINDING if found else EXIT_OK
+    if found:
+        return EXIT_FINDING
+    return EXIT_USAGE if failures else EXIT_OK
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -117,8 +117,15 @@ def is_alpha_efk(inst: Instance, X: Allocation, alpha: Fraction, k: int) -> bool
 
 
 def _price_envy(inst: Instance, X: Allocation, p: Sequence[Fraction], k: Optional[int]):
+    """_worst_envy under the common price row: one earnings row serves as
+    every agent's cross sums."""
     _require_prices(inst, p)
-    return _envy([integer_row(p)] * inst.n, X, k)
+    X.check_shape(inst.n, inst.m)
+    P = integer_row(p)
+    earn = [0] * inst.n
+    for o, v in zip(X.owners, P):
+        earn[o] += v
+    return _worst_envy([_residual(P, b, k) for b in X.bundles()], [earn] * inst.n)
 
 
 def is_pefk(
@@ -148,8 +155,19 @@ class PoResult:
 def is_po_bruteforce(
     inst: Instance, X: Allocation, budget: int = DEFAULT_BUDGET
 ) -> PoResult:
-    """Exhaustive Pareto check: first dominating allocation in owner-vector
-    lexicographic order, or PO. Intended for n^m <= budget."""
+    """Pareto check: first dominating allocation in owner-vector
+    lexicographic order, or PO. Intended for n^m <= budget.
+
+    A depth-first search over owner vectors, chores and agents in index
+    order, with two sound cuts on the integer rows. Every agent must stay
+    at or below her cost in X. And since a dominating allocation costs
+    one agent strictly less and none more, its total cost is below X's
+    total `goal`: a node at chore j with assigned cost `cost` is cut when
+    cost + rest[j] >= goal, where rest[j] is the cost of chores j.. each
+    at its cheapest row. At a leaf that cut is the strict-improvement
+    test. The cuts drop only subtrees without a dominating leaf, so the
+    result has the same verdict and witness as the exhaustive search.
+    """
     X.check_shape(inst.n, inst.m)
     n, m = inst.n, inst.m
     if n**m > budget:
@@ -158,31 +176,32 @@ def is_po_bruteforce(
     targets = [0] * n
     for j, o in enumerate(X.owners):
         targets[o] += rows[o][j]
+    goal = sum(targets)
+    rest = [0] * (m + 1)
+    for j in range(m - 1, -1, -1):
+        rest[j] = rest[j + 1] + min(row[j] for row in rows)
 
     owners = [0] * m
     sums = [0] * n
 
-    def dfs(j: int):
-        # Prune: domination needs every agent at or below her current total.
+    def dfs(j: int, cost: int):
+        # Entered only with cost + rest[j] < goal: at a leaf, a strict gain.
         if j == m:
-            # Pruning already enforced sums[a] <= targets[a] everywhere;
-            # domination additionally needs one strict improvement.
-            if any(s < t for s, t in zip(sums, targets)):
-                return tuple(owners)
-            return None
+            return tuple(owners)
+        bound = goal - rest[j + 1]
         for a in range(n):
             w = rows[a][j]
-            if sums[a] + w > targets[a]:
+            if sums[a] + w > targets[a] or cost + w >= bound:
                 continue
             owners[j] = a
             sums[a] += w
-            hit = dfs(j + 1)
+            hit = dfs(j + 1, cost + w)
             sums[a] -= w
             if hit is not None:
                 return hit
         return None
 
-    hit = dfs(0)
+    hit = dfs(0, 0) if rest[0] < goal else None
     if hit is None:
         return PoResult("po")
     return PoResult("dominated", Allocation(n, hit))

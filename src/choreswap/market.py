@@ -9,10 +9,33 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Optional, Sequence, Union
+from typing import List, Optional, Sequence, Tuple, Union
 
 from .errors import EmptyBundle, NonPositivePrice, PriceLengthMismatch
 from .model import Allocation, Instance, integer_row
+
+
+def mpb_ratio(row, price) -> Tuple[int, int]:
+    """An agent's least value per price, min_j row[j] / price[j], as an
+    integer pair (row[j], price[j]) at the first chore attaining it,
+    compared by cross-multiplication. row and price are nonempty integer
+    sequences with positive prices."""
+    a, b = row[0], price[0]
+    for r, p in zip(row, price):
+        if r * b < a * p:
+            a, b = r, p
+    return a, b
+
+
+def _integer_prices(inst: Instance, p: Sequence[Fraction]) -> list:
+    """p rescaled to positive integers; raises on a wrong length or a
+    price that is not positive."""
+    if len(p) != inst.m:
+        raise PriceLengthMismatch(f"expected {inst.m} prices, got {len(p)}")
+    P = integer_row(p)  # same signs as p
+    if any(v <= 0 for v in P):
+        raise NonPositivePrice(f"prices must be positive, got {min(p)}")
+    return P
 
 
 @dataclass(frozen=True)
@@ -23,39 +46,34 @@ class MpbView:
 
 def mpb_view(inst: Instance, p: Sequence[Fraction]) -> MpbView:
     """Exact MPB ratios alpha_i = min_j d_ij / p_j and their argmin sets,
-    compared as rows[i][j] * P[k] vs rows[i][k] * P[j] on positively
-    rescaled integer rows and prices (so prices must be positive)."""
-    if len(p) != inst.m:
-        raise PriceLengthMismatch(f"expected {inst.m} prices, got {len(p)}")
-    P = integer_row(p)  # same signs as p
-    if any(v <= 0 for v in P):
-        raise NonPositivePrice(f"prices must be positive, got {min(p)}")
+    from `mpb_ratio` on positively rescaled integer rows and prices (so
+    prices must be positive)."""
+    P = _integer_prices(inst, p)
+    if not P:
+        return MpbView((None,) * inst.n, (frozenset(),) * inst.n)
     alphas = []
     sets = []
     for i, row in enumerate(inst.integer_rows()):
-        best = 0
-        argmin = []
-        for j, (r, q) in enumerate(zip(row, P)):
-            lhs, rhs = r * P[best], row[best] * q
-            if lhs < rhs:
-                best = j
-                argmin = [j]
-            elif lhs == rhs:
-                argmin.append(j)
-        alphas.append(inst.d[i][best] / p[best] if argmin else None)
+        a, b = mpb_ratio(row, P)
+        argmin = [j for j, (r, q) in enumerate(zip(row, P)) if r * b == a * q]
+        alphas.append(inst.d[i][argmin[0]] / p[argmin[0]])
         sets.append(frozenset(argmin))
     return MpbView(tuple(alphas), tuple(sets))
 
 
 def is_mpb_allocation(inst: Instance, X: Allocation, p: Sequence[Fraction]) -> bool:
-    """True iff every chore attains its owner's MPB ratio.
+    """True iff every chore attains its owner's MPB ratio, compared on the
+    integer rows and prices against the owner's `mpb_ratio`.
 
     A true result certifies that X is fPO (First Welfare Theorem).
     """
     X.check_shape(inst.n, inst.m)
-    view = mpb_view(inst, p)
-    for j, owner in enumerate(X.owners):
-        if j not in view.mpb_sets[owner]:
+    P = _integer_prices(inst, p)
+    rows = inst.integer_rows()
+    ratios = [mpb_ratio(row, P) for row in rows] if P else []
+    for j, o in enumerate(X.owners):
+        a, b = ratios[o]
+        if rows[o][j] * b != a * P[j]:
             return False
     return True
 

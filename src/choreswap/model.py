@@ -4,8 +4,8 @@ All numeric quantities are exact: `int` or `fractions.Fraction`, never
 float or bool; no floating point enters any fairness computation.
 Instances, allocations and price vectors are immutable after
 construction and safe to share across threads. An instance builds its
-integer rows (each row times the lcm of its denominators) once, on first
-use, as a tuple of int tuples.
+integer rows (each row times the lcm of its denominators) and its
+bivalued ratio once each, on first use.
 """
 
 from __future__ import annotations
@@ -91,8 +91,9 @@ class Instance:
     disutility matrix d (n rows, m columns). Entries may be given as ints
     or Fractions; ints are stored as Fractions, so every quotient of two
     entries is exact. The integer rows are built once, on first use (or
-    by parse_instance for an all-integer file), as tuples, and are not
-    part of equality, hash or repr."""
+    by parse_instance for an all-integer file), as tuples; like the
+    bivalued ratio, also found once, they are not part of equality, hash
+    or repr."""
 
     d: tuple
 
@@ -152,12 +153,8 @@ class Instance:
         """Per-row integer rescalings of d (row-scale invariant uses only)."""
         return self._integer_rows
 
-    def bivalued_k(self) -> Optional[Fraction]:
-        """If all entries take at most two values {a, b}, return
-        k = max(a,b)/min(a,b); otherwise None. Entries are collected as
-        (numerator, denominator) pairs, equal exactly when the normalized
-        Fractions are and cheaper to hash, and the scan stops at a third
-        distinct value."""
+    @cached_property
+    def _bivalued_k(self) -> Optional[Fraction]:
         values = set()
         for row in self.d:
             for v in row:
@@ -169,6 +166,14 @@ class Instance:
         (a, b), (c, d) = values
         k = Fraction(a * d, b * c)
         return k if k > 1 else 1 / k
+
+    def bivalued_k(self) -> Optional[Fraction]:
+        """If all entries take at most two values {a, b}, return
+        k = max(a,b)/min(a,b); otherwise None. Entries are collected as
+        (numerator, denominator) pairs, equal exactly when the normalized
+        Fractions are and cheaper to hash, and the scan stops at a third
+        distinct value. The scan runs once per instance."""
+        return self._bivalued_k
 
 
 def bundle_disutility(inst: Instance, i: int, chores: Iterable[int]) -> Fraction:
@@ -240,7 +245,7 @@ def parse_instance(text: str) -> Instance:
 def serialize_instance(inst: Instance) -> str:
     out = [f"{inst.n} {inst.m}"]
     for row in inst.d:
-        out.append(" ".join(format_rational(v) for v in row))
+        out.append(" ".join(map(format_rational, row)))
     return "\n".join(out) + "\n"
 
 
@@ -375,15 +380,19 @@ def parse_distribution(spec: str) -> Distribution:
 
 
 def generate_random(seed: int, n: int, m: int, dist: Distribution) -> Instance:
-    """Deterministic random instance for a fixed (seed, n, m, dist)."""
+    """Deterministic random instance for a fixed (seed, n, m, dist): entries
+    drawn row by row, one Fraction shared per distinct value."""
     rng = random.Random(seed)
-    rows = []
-    for _ in range(n):
-        row = []
-        for _ in range(m):
-            if isinstance(dist, UniformInt):
-                row.append(Fraction(rng.randint(dist.lo, dist.hi)))
-            else:
-                row.append(Fraction(1) if rng.randint(0, 1) == 0 else dist.k)
-        rows.append(tuple(row))
+    if isinstance(dist, UniformInt):
+        values = {}
+        rows = []
+        for _ in range(n):
+            draws = [rng.randint(dist.lo, dist.hi) for _ in range(m)]
+            for v in draws:
+                if v not in values:
+                    values[v] = Fraction(v)
+            rows.append(tuple([values[v] for v in draws]))
+    else:
+        values = (Fraction(1), dist.k)
+        rows = [tuple([values[rng.randint(0, 1)] for _ in range(m)]) for _ in range(n)]
     return Instance(tuple(rows))

@@ -26,9 +26,9 @@ from .errors import (
     RoundedInputInvalid,
     TooManyChores,
 )
-from .fairness import DEFAULT_BUDGET, efx_factor, is_alpha_efx, is_pefk
+from .fairness import DEFAULT_BUDGET, efx_factor, is_pefk
 from .framework import FriendlyCertificate, SwapTrace, chore_swap, run_framework
-from .market import is_mpb_allocation
+from .market import is_mpb_allocation, mpb_ratio
 from .model import Allocation, Instance, allocation_from_bundles
 
 MARKET_STEPS_PER_NM = 50  # the market loop stops past 50 * n * m steps
@@ -74,22 +74,12 @@ def _common_rows(inst: Instance):
     return [[v * (scale // s) for v in r] for r, s in zip(rows, scales)]
 
 
-def _mpb_ratio(row, price) -> Tuple[int, int]:
-    """An agent's least value per price, min_j row[j] / price[j], as an
-    integer pair compared by cross-multiplication."""
-    a, b = row[0], price[0]
-    for r, p in zip(row, price):
-        if r * b < a * p:
-            a, b = r, p
-    return a, b
-
-
 def search_pef1_mpb(inst: Instance) -> Pef1Solution:
     """A pEF1+MPB allocation with its prices, from the price-lowering
     market loop for chores (Garg, Murhekar and Qin, AAAI 2022).
 
     Prices are integers on the scale of `_common_rows`, and agent i's MPB
-    chores are those attaining `_mpb_ratio`. Every step keeps each chore
+    chores are those attaining `mpb_ratio`. Every step keeps each chore
     MPB for its owner:
 
     - Start: chore j goes to the lowest-index agent with the least value
@@ -141,7 +131,7 @@ def search_pef1_mpb(inst: Instance) -> Pef1Solution:
         move = None
         for i in comp:
             row = rows[i]
-            a, b = ratio[i] = _mpb_ratio(row, price)
+            a, b = ratio[i] = mpb_ratio(row, price)
             for j, h in enumerate(owners):
                 if inside[h] or row[j] * b != a * price[j]:
                     continue
@@ -224,8 +214,8 @@ def _bivalued_candidate(inst: Instance, k: Fraction, sol: Pef1Solution) -> Solve
     Phase-1 pick or a swap that breaks MPB under the start's prices, which
     would cost the PO certificate, raises PostconditionViolated."""
     lam = 2 - 1 / k
-    if is_alpha_efx(inst, sol.x, lam):
-        trace = _trivial_trace(inst, sol.x, lam, "weak")
+    trace = _trivial_trace(inst, sol.x, lam, "weak")
+    if trace.final_factor <= lam:
         return SolveResult(sol.x, trace, "bivalued", prices=sol.p, notes=["early-exit"])
     rho, top = _price_split(sol)
     if not rho < k:

@@ -282,6 +282,20 @@ def test_bench_corpus(tmp_path, capsys):
         assert fields[8] == ""
 
 
+def test_bench_exits_1_when_a_case_fails_without_a_finding(tmp_path, capsys):
+    # m = 23 > 2n: small-m refuses the file with TooManyChores, which is
+    # no finding, yet the run must not report success.
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    row = " ".join("123"[j % 3] for j in range(23))
+    (corpus / "big.txt").write_text(f"2 23\n{row}\n{row}\n")
+    (corpus / "i2.txt").write_text(I2)
+    assert main(["bench", str(corpus), "--methods", "small-m"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out.splitlines()[1].endswith(",error:TooManyChores")
+    assert "bench: 1 ok, 1 failed" in captured.err
+
+
 def test_bench_empty_corpus(tmp_path, capsys):
     corpus = tmp_path / "empty"
     corpus.mkdir()

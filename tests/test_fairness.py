@@ -23,6 +23,7 @@ from choreswap.errors import (
     ChoreOutOfRange,
     ChoreSwapError,
     IncompleteAllocation,
+    PriceLengthMismatch,
 )
 from choreswap.fairness import PoResult, _envy_terms
 from choreswap.framework import FriendlyCertificate, validate_certificate
@@ -83,6 +84,16 @@ def test_checkers_reject_allocation_of_another_shape():
             with pytest.raises(ChoreSwapError) as e:
                 check(X)
             assert type(e.value) is error, (name, X)
+
+
+def test_price_checks_test_the_price_length_first():
+    inst = inst_i1()
+    short = (Fraction(1), Fraction(1))
+    for X in (Allocation(2, (0, 0, 1)), Allocation(3, (0, 1, 2)), Allocation(2, (0, 0))):
+        with pytest.raises(PriceLengthMismatch):
+            is_pefk(inst, X, short, Fraction(1), 1)
+        with pytest.raises(PriceLengthMismatch):
+            is_pefx(inst, X, short, Fraction(1))
 
 
 def test_is_alpha_efk_examples():
@@ -163,6 +174,69 @@ def test_is_po_bruteforce_budget():
     res = is_po_bruteforce(inst, Allocation(2, (0, 0, 1)), budget=2)
     assert res.status == "budget-exceeded"
     assert not res.is_po
+
+
+def _first_dominating(inst, X):
+    """Reference: walk every owner vector in lexicographic order, with
+    costs summed in Fractions on inst.d, and return the first that
+    dominates X (or None)."""
+    n, m = inst.n, inst.m
+
+    def costs(owners):
+        out = [Fraction(0)] * n
+        for j, o in enumerate(owners):
+            out[o] += inst.d[o][j]
+        return out
+
+    target = costs(X.owners)
+    for owners in itertools.product(range(n), repeat=m):
+        c = costs(owners)
+        if all(a <= b for a, b in zip(c, target)) and c != target:
+            return owners
+    return None
+
+
+def test_is_po_bruteforce_matches_unpruned_enumeration():
+    # Uniform, bivalued and fractional rows (some scaled by a fractional
+    # row factor); X is a random owner vector or a perturbed cheapest-row
+    # allocation, so both PO and dominated inputs are common.
+    rng = random.Random(211)
+    shapes = [(4, 8), (3, 8), (4, 7), (1, 0), (4, 0)]
+    statuses = {"po": 0, "dominated": 0}
+    for trial in range(360):
+        if trial < len(shapes):
+            n, m = shapes[trial]
+        else:
+            n, m = rng.randint(1, 4), rng.randint(0, 8)
+            while n**m > 4096:
+                m -= 1
+        kind = trial % 3
+        if kind == 0:
+            d = [[rng.randint(1, 9) for _ in range(m)] for _ in range(n)]
+        elif kind == 1:
+            k = rng.choice([2, 3, Fraction(5, 2)])
+            d = [[rng.choice([1, k]) for _ in range(m)] for _ in range(n)]
+        else:
+            d = [[Fraction(rng.randint(1, 9), rng.randint(1, 4)) for _ in range(m)]
+                 for _ in range(n)]
+        if rng.random() < 0.3:
+            d = [[v * Fraction(rng.randint(1, 7), rng.randint(1, 7)) for v in row] for row in d]
+        inst = make_instance(d)
+        if m and rng.random() < 0.2:
+            owners = [min(range(n), key=lambda a: inst.d[a][j]) for j in range(m)]
+            for _ in range(rng.randint(0, 2)):
+                owners[rng.randrange(m)] = rng.randrange(n)
+        else:
+            owners = [rng.randrange(n) for _ in range(m)]
+        X = Allocation(n, tuple(owners))
+        expected = _first_dominating(inst, X)
+        res = is_po_bruteforce(inst, X)
+        if expected is None:
+            assert res == PoResult("po"), (d, owners)
+        else:
+            assert res == PoResult("dominated", Allocation(n, expected)), (d, owners)
+        statuses[res.status] += 1
+    assert statuses["po"] >= 100 and statuses["dominated"] >= 100
 
 
 def test_hat_d_examples():
@@ -281,7 +355,7 @@ def _naive_csv(inst, x, k):
 
 
 def test_envy_terms_match_per_bundle_sums():
-    # Integer rows, price rows (is_pefk) and Fraction rows (envy_report),
+    # Integer rows, price rows (is_pefk, is_pefx) and Fraction rows (envy_report),
     # on allocations that often leave a bundle empty.
     rng = random.Random(61)
     empty = 0
@@ -299,10 +373,12 @@ def test_envy_terms_match_per_bundle_sums():
             for rows in (inst.integer_rows(), [integer_row(p)] * n, inst.d):
                 assert _envy_terms(rows, x, k) == _naive_terms(rows, x, k)
             assert envy_report(inst, x, k).to_csv() == _naive_csv(inst, x, k)
-            if k is not None:
-                nums, cross = _naive_terms([p] * n, x, k)
-                want = all(
-                    nums[i] <= alpha * cross[i][h] for i in range(n) for h in range(n) if h != i
-                )
+            nums, cross = _naive_terms([p] * n, x, k)
+            want = all(
+                nums[i] <= alpha * cross[i][h] for i in range(n) for h in range(n) if h != i
+            )
+            if k is None:
+                assert is_pefx(inst, x, p, alpha) == want
+            else:
                 assert is_pefk(inst, x, p, alpha, k) == want
     assert empty > 50, empty

@@ -18,6 +18,8 @@ from choreswap import (
     solve_ratio_system,
 )
 from choreswap.errors import (
+    AgentOutOfRange,
+    ChoreOutOfRange,
     EmptyBundle,
     IncompleteAllocation,
     NonPositivePrice,
@@ -201,3 +203,53 @@ def test_mpb_view_matches_definition():
             alpha = min(ratios)
             assert view.alpha[i] == alpha and type(view.alpha[i]) is Fraction
             assert view.mpb_sets[i] == {j for j in range(m) if ratios[j] == alpha}
+
+
+def test_is_mpb_allocation_matches_the_definition():
+    # Prices tie several chores for one agent (proportional to its row on
+    # a random subset) or are fractional; X gives each chore to a random
+    # agent, or to one for which the chore is MPB, so both verdicts occur.
+    rng = random.Random(97)
+    verdicts = {True: 0, False: 0}
+    for _ in range(400):
+        n, m = rng.randint(1, 4), rng.randint(1, 7)
+        d = [[Fraction(rng.randint(1, 6), rng.randint(1, 4)) for _ in range(m)]
+             for _ in range(n)]
+        a, s = rng.randrange(n), Fraction(rng.randint(1, 5), rng.randint(1, 5))
+        p = [d[a][j] * s if rng.random() < 0.6 else
+             Fraction(rng.randint(1, 8), rng.randint(1, 3)) for j in range(m)]
+        alpha = [min(d[i][j] / p[j] for j in range(m)) for i in range(n)]
+        mpb = [[i for i in range(n) if d[i][j] / p[j] == alpha[i]] for j in range(m)]
+        if rng.random() < 0.5:
+            owners = [rng.choice(mpb[j] or [rng.randrange(n)]) for j in range(m)]
+            if rng.random() < 0.3:
+                owners[rng.randrange(m)] = rng.randrange(n)
+        else:
+            owners = [rng.randrange(n) for _ in range(m)]
+        inst, X = Instance(tuple(map(tuple, d))), Allocation(n, tuple(owners))
+        expected = all(o in mpb[j] for j, o in enumerate(owners))
+        view = mpb_view(inst, p)
+        assert expected == all(j in view.mpb_sets[o] for j, o in enumerate(owners))
+        assert is_mpb_allocation(inst, X, p) == expected
+        verdicts[expected] += 1
+    assert min(verdicts.values()) >= 100
+
+
+def test_is_mpb_allocation_errors():
+    inst = inst_i1()
+    X = Allocation(2, (0, 0, 1))
+    with pytest.raises(PriceLengthMismatch):
+        is_mpb_allocation(inst, X, (Fraction(1), Fraction(1)))
+    with pytest.raises(NonPositivePrice):
+        is_mpb_allocation(inst, X, (Fraction(1), Fraction(-1, 2), Fraction(1)))
+    # The shape of X is checked before the prices.
+    with pytest.raises(AgentOutOfRange):
+        is_mpb_allocation(inst, Allocation(3, (0, 0, 1)), (Fraction(1),))
+    with pytest.raises(ChoreOutOfRange):
+        is_mpb_allocation(inst, Allocation(2, (0, 0)), (Fraction(0),) * 3)
+    # No chores: vacuously MPB, and a price vector of the wrong length
+    # still raises.
+    empty = Instance(((), ()))
+    assert is_mpb_allocation(empty, Allocation(2, ()), ())
+    with pytest.raises(PriceLengthMismatch):
+        is_mpb_allocation(empty, Allocation(2, ()), (Fraction(1),))

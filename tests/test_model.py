@@ -1,3 +1,4 @@
+import hashlib
 import random
 from fractions import Fraction
 
@@ -316,3 +317,35 @@ def test_bivalued_k():
         assert k == Fraction(5, 2) and type(k) is Fraction
     assert Instance(((7, 7), (7, 7))).bivalued_k() == 1
     assert Instance(((), ())).bivalued_k() == 1
+
+
+def test_bivalued_k_scans_once():
+    inst = Instance(((1, 3, 3), (3, 1, 1)))
+    assert "_bivalued_k" not in vars(inst)
+    assert inst.bivalued_k() == 3
+    assert vars(inst)["_bivalued_k"] == 3
+    # The cached value is not part of equality or hashing.
+    other = Instance(((1, 3, 3), (3, 1, 1)))
+    assert other == inst and hash(other) == hash(inst)
+    assert Instance(((1, 2), (2, 3))).bivalued_k() is None
+
+
+GENERATED_DIGEST = "6f4220851739e374a8e738ac83d68e01a505ff248b9c983c63a29a33fcd4c15a"
+
+
+def test_generated_instances_are_pinned():
+    # The same seed draws the same entries: pinned for both distributions,
+    # with and without a fractional k, and for empty rows.
+    assert serialize_instance(generate_random(7, 3, 5, UniformInt(1, 20))) == (
+        "3 5\n11 5 13 2 3\n18 4 12 19 2\n17 7 2 3 14\n"
+    )
+    assert serialize_instance(generate_random(11, 2, 6, Bivalued(Fraction(5, 2)))) == (
+        "2 6\n5/2 5/2 5/2 1 1 5/2\n1 1 5/2 5/2 1 1\n"
+    )
+    h = hashlib.sha256()
+    for seed in range(40):
+        for dist in (UniformInt(1, 20), UniformInt(3, 3), UniformInt(1, 1000),
+                     Bivalued(Fraction(3)), Bivalued(Fraction(7, 4))):
+            for n, m in ((1, 0), (2, 5), (3, 9), (4, 1)):
+                h.update(serialize_instance(generate_random(seed, n, m, dist)).encode())
+    assert h.hexdigest() == GENERATED_DIGEST
