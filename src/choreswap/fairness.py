@@ -116,16 +116,20 @@ def is_alpha_efk(inst: Instance, X: Allocation, alpha: Fraction, k: int) -> bool
     return _within(_envy(inst.integer_rows(), X, k), alpha)
 
 
-def _price_envy(inst: Instance, X: Allocation, p: Sequence[Fraction], k: Optional[int]):
-    """_worst_envy under the common price row: one earnings row serves as
-    every agent's cross sums."""
-    _require_prices(inst, p)
-    X.check_shape(inst.n, inst.m)
-    P = integer_row(p)
-    earn = [0] * inst.n
+def price_envy(P, X: Allocation, k: Optional[int]):
+    """_worst_envy under the common integer price row P, one price per
+    chore of X: one earnings row serves as every agent's cross sums."""
+    earn = [0] * X.n
     for o, v in zip(X.owners, P):
         earn[o] += v
-    return _worst_envy([_residual(P, b, k) for b in X.bundles()], [earn] * inst.n)
+    return _worst_envy([_residual(P, b, k) for b in X.bundles()], [earn] * X.n)
+
+
+def _price_envy(inst: Instance, X: Allocation, p: Sequence[Fraction], k: Optional[int]):
+    """price_envy of X under p rescaled to integers."""
+    _require_prices(inst, p)
+    X.check_shape(inst.n, inst.m)
+    return price_envy(integer_row(p), X, k)
 
 
 def is_pefk(

@@ -21,7 +21,7 @@ from .errors import (
     SelfSwap,
 )
 from .fairness import _cross_sums, _envy_terms, _within, _worst_envy, efx_factor, hat_d
-from .model import Allocation, Instance, bundle_disutility
+from .model import Allocation, Instance
 
 
 @dataclass(frozen=True)
@@ -69,8 +69,11 @@ def validate_certificate(
     agent in NH with a non-singleton bundle, that her cheapest bundle
     chore lies in the residual S_i. A condition compares one left-hand
     side with coef * v_k over agents k, so all pairs hold iff the
-    tightest does (least v_k if coef >= 0, else greatest), which is
-    compared on integer rows; only if it fails does a Fraction loop report.
+    tightest does (least v_k if coef >= 0, else greatest). Both sides are
+    integers on row i's scale s_i (`Instance.row_scales`): strict
+    left-hand sides come from the integer rows and their cross sums, weak
+    ones are hat-d times s_i. A Fraction is built only to report a
+    violation.
     """
     violations: List[Violation] = []
     agents = frozenset(range(inst.n))
@@ -84,33 +87,40 @@ def validate_certificate(
     for i, b in enumerate(bundles):
         if not b:
             raise EmptyBundle(i)
-    scale = [r[0] * v[0].denominator // v[0].numerator for r, v in zip(rows, inst.d)]
+    scale = inst.row_scales()
     desig = [designated_chore(inst, i, b) for i, b in enumerate(bundles)]
-    singles = [[j] for j in desig]
     n0, nh = sorted(cert.n0), sorted(cert.nh)
-    lhs_of = hat_d if cert.weak else bundle_disutility
 
-    def check(cond, i, lhs, coef, others, on_row, chores):
+    def weak_lhs(i, chores):
+        """hat-d_i(chores) times scale[i], an integer."""
+        h = hat_d(inst, i, chores)
+        return h.numerator * scale[i] // h.denominator
+
+    def check(cond, i, lhs, coef, others, on_row):
         """Append a Violation for each k in others with lhs > coef *
-        d_i(chores[k]); on_row[k] is d_i(chores[k]) times scale[i]."""
-        tight = (min if coef >= 0 else max)((on_row[k] for k in others), default=0)
-        if lhs.numerator * scale[i] * coef.denominator <= coef.numerator * tight * lhs.denominator:
+        on_row[k], all on row i's scale."""
+        if not others:
             return
+        tight = (min if coef >= 0 else max)(on_row[k] for k in others)
+        if lhs * coef.denominator <= coef.numerator * tight:
+            return
+        s = scale[i]
         for k in others:
-            rhs = coef * bundle_disutility(inst, i, chores[k])
-            if lhs > rhs:
-                violations.append(Violation(cond, i, k, lhs, rhs))
+            if lhs * coef.denominator > coef.numerator * on_row[k]:
+                violations.append(
+                    Violation(cond, i, k, Fraction(lhs, s), coef * Fraction(on_row[k], s))
+                )
 
     for i in n0:
-        lhs = lhs_of(inst, i, bundles[i])
-        check("i", i, lhs, cert.lam, n0, cross[i], bundles)
-        check("ii", i, lhs, cert.lam, nh, [rows[i][j] for j in desig], singles)
+        lhs = weak_lhs(i, bundles[i]) if cert.weak else cross[i][i]
+        check("i", i, lhs, cert.lam, n0, cross[i])
+        check("ii", i, lhs, cert.lam, nh, [rows[i][j] for j in desig])
     lam1 = cert.lam - 1
     for i in nh:
         residual = [j for j in bundles[i] if j != desig[i]]
-        lhs = lhs_of(inst, i, residual)
-        check("iii", i, lhs, lam1, n0, cross[i], bundles)
-        check("iv", i, lhs, lam1, nh, [rows[i][j] for j in desig], singles)
+        lhs = weak_lhs(i, residual) if cert.weak else cross[i][i] - rows[i][desig[i]]
+        check("iii", i, lhs, lam1, n0, cross[i])
+        check("iv", i, lhs, lam1, nh, [rows[i][j] for j in desig])
         if cert.weak and residual:
             key = rows[i].__getitem__
             res_min, low = min(residual, key=key), min(bundles[i], key=key)

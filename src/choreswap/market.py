@@ -61,21 +61,26 @@ def mpb_view(inst: Instance, p: Sequence[Fraction]) -> MpbView:
     return MpbView(tuple(alphas), tuple(sets))
 
 
-def is_mpb_allocation(inst: Instance, X: Allocation, p: Sequence[Fraction]) -> bool:
-    """True iff every chore attains its owner's MPB ratio, compared on the
-    integer rows and prices against the owner's `mpb_ratio`.
-
-    A true result certifies that X is fPO (First Welfare Theorem).
-    """
-    X.check_shape(inst.n, inst.m)
-    P = _integer_prices(inst, p)
-    rows = inst.integer_rows()
+def mpb_holds(rows, P, owners) -> bool:
+    """True iff every chore j attains its owner's `mpb_ratio` under the
+    integer rows and the positive integer prices P, owners[j] being the
+    owner of chore j."""
     ratios = [mpb_ratio(row, P) for row in rows] if P else []
-    for j, o in enumerate(X.owners):
+    for j, o in enumerate(owners):
         a, b = ratios[o]
         if rows[o][j] * b != a * P[j]:
             return False
     return True
+
+
+def is_mpb_allocation(inst: Instance, X: Allocation, p: Sequence[Fraction]) -> bool:
+    """True iff every chore attains its owner's MPB ratio: `mpb_holds` on
+    the integer rows and p rescaled to integers.
+
+    A true result certifies that X is fPO (First Welfare Theorem).
+    """
+    X.check_shape(inst.n, inst.m)
+    return mpb_holds(inst.integer_rows(), _integer_prices(inst, p), X.owners)
 
 
 @dataclass(frozen=True)

@@ -4,8 +4,8 @@ All numeric quantities are exact: `int` or `fractions.Fraction`, never
 float or bool; no floating point enters any fairness computation.
 Instances, allocations and price vectors are immutable after
 construction and safe to share across threads. An instance builds its
-integer rows (each row times the lcm of its denominators) and its
-bivalued ratio once each, on first use.
+integer rows (each row times the lcm of its denominators), those lcms
+and its bivalued ratio once each, on first use.
 """
 
 from __future__ import annotations
@@ -91,9 +91,9 @@ class Instance:
     disutility matrix d (n rows, m columns). Entries may be given as ints
     or Fractions; ints are stored as Fractions, so every quotient of two
     entries is exact. The integer rows are built once, on first use (or
-    by parse_instance for an all-integer file), as tuples; like the
-    bivalued ratio, also found once, they are not part of equality, hash
-    or repr."""
+    by parse_instance for an all-integer file), as tuples; like their
+    scales and the bivalued ratio, also found once, they are not part of
+    equality, hash or repr."""
 
     d: tuple
 
@@ -152,6 +152,15 @@ class Instance:
     def integer_rows(self) -> tuple:
         """Per-row integer rescalings of d (row-scale invariant uses only)."""
         return self._integer_rows
+
+    @cached_property
+    def _row_scales(self) -> tuple:
+        return tuple(math.lcm(*[v.denominator for v in row]) for row in self.d)
+
+    def row_scales(self) -> tuple:
+        """The per-row scales s_i of the integer rows: integer_rows()[i]
+        is d[i] times s_i, the lcm of row i's denominators."""
+        return self._row_scales
 
     @cached_property
     def _bivalued_k(self) -> Optional[Fraction]:

@@ -26,9 +26,9 @@ from .errors import (
     RoundedInputInvalid,
     TooManyChores,
 )
-from .fairness import DEFAULT_BUDGET, efx_factor, is_pefk
+from .fairness import DEFAULT_BUDGET, _within, efx_factor, price_envy
 from .framework import FriendlyCertificate, SwapTrace, chore_swap, run_framework
-from .market import is_mpb_allocation, mpb_ratio
+from .market import _integer_prices, is_mpb_allocation, mpb_holds, mpb_ratio
 from .model import Allocation, Instance, allocation_from_bundles
 
 MARKET_STEPS_PER_NM = 50  # the market loop stops past 50 * n * m steps
@@ -62,12 +62,10 @@ def _trivial_trace(inst: Instance, X: Allocation, lam: Fraction, mode: str) -> S
 def _common_rows(inst: Instance):
     """d times the lcm of all its denominators: integer rows on one scale,
     so the values of different agents compare. Row i of the integer rows
-    is d[i] times the lcm s_i of its own denominators, read off its first
-    entry; with every s_i = 1 they are the common rows."""
+    is d[i] times its scale s_i; with every s_i = 1 they are the common
+    rows."""
     rows = inst.integer_rows()
-    if not inst.m:
-        return rows
-    scales = [r[0] * d[0].denominator // d[0].numerator for r, d in zip(rows, inst.d)]
+    scales = inst.row_scales()
     scale = math.lcm(*scales)
     if scale == 1:
         return rows
@@ -165,32 +163,41 @@ def search_pef1_mpb(inst: Instance) -> Pef1Solution:
     return Pef1Solution(Allocation(n, tuple(owners)), tuple(Fraction(p, least) for p in price))
 
 
-def _require_pef1_mpb(inst: Instance, sol: Pef1Solution):
-    """The gate on a start: its prices make it MPB and pEF1."""
-    if not is_mpb_allocation(inst, sol.x, sol.p):
+def _require_pef1_mpb(inst: Instance, sol: Pef1Solution) -> list:
+    """The gate on a start: its prices make it MPB and pEF1. Returns the
+    prices rescaled once to positive integers, P, on which the gate and
+    every later price comparison of the pipeline run."""
+    sol.x.check_shape(inst.n, inst.m)
+    P = _integer_prices(inst, sol.p)
+    if not mpb_holds(inst.integer_rows(), P, sol.x.owners):
         raise InvariantViolation("solution is not an MPB allocation")
-    if not is_pefk(inst, sol.x, sol.p, Fraction(1), 1):
+    if not _within(price_envy(P, sol.x, 1), 1):
         raise InvariantViolation("solution is not pEF1")
+    return P
 
 
-def _price_split(sol: Pef1Solution) -> Tuple[Fraction, List[Fraction]]:
-    """The least earning rho and, per bundle, its highest price: what both
-    certificate rules read to put agents in N_H."""
-    bundles = sol.x.bundles()
-    rho = min(sum((sol.p[j] for j in b), Fraction(0)) for b in bundles)
-    return rho, [max(sol.p[j] for j in b) for b in bundles]
+def _price_split(X: Allocation, P) -> Tuple[int, List[int]]:
+    """The least earning rho and, per bundle, its highest price, both on
+    the scale of the integer prices P: what both certificate rules read
+    to put agents in N_H."""
+    bundles = X.bundles()
+    rho = min(sum(P[j] for j in b) for b in bundles)
+    return rho, [max(P[j] for j in b) for b in bundles]
 
 
 def certificate_from_pef1(inst: Instance, sol: Pef1Solution) -> FriendlyCertificate:
     """Split agents by whether their highest-priced chore exceeds the least
     earner's income. Yields a valid strict certificate with lambda = 2.
 
-    The certificate holds for `inst` as given: every certificate
-    inequality compares one agent's own values, so scaling a row (as by
-    1/alpha_i, which turns MPB values into prices) changes none of them.
+    The split compares integers: the prices P returned by the pEF1+MPB
+    gate are sol.p times one positive constant, which leaves `top > rho`
+    unchanged. The certificate holds for `inst` as given: every
+    certificate inequality compares one agent's own values, so scaling a
+    row (as by 1/alpha_i, which turns MPB values into prices) changes
+    none of them.
     """
-    _require_pef1_mpb(inst, sol)
-    rho, top = _price_split(sol)
+    P = _require_pef1_mpb(inst, sol)
+    rho, top = _price_split(sol.x, P)
     nh = frozenset(i for i, t in enumerate(top) if t > rho)
     return FriendlyCertificate(Fraction(2), frozenset(range(inst.n)) - nh, nh, weak=False)
 
@@ -209,27 +216,38 @@ def solve_2efx(inst: Instance) -> SolveResult:
     return SolveResult(x, trace, "pef1", cert=cert, prices=sol.p, start=sol.x)
 
 
-def _bivalued_candidate(inst: Instance, k: Fraction, sol: Pef1Solution) -> SolveResult:
-    """Run a {1,k}-priced pEF1+MPB start through the bivalued pipeline. A
-    Phase-1 pick or a swap that breaks MPB under the start's prices, which
-    would cost the PO certificate, raises PostconditionViolated."""
+def _bivalued_candidate(
+    inst: Instance, k: Fraction, sol: Pef1Solution, P: list
+) -> SolveResult:
+    """Run a {1,k}-priced pEF1+MPB start through the bivalued pipeline,
+    with P its prices as rescaled to integers by the pEF1+MPB gate.
+
+    P is sol.p times one positive integer `one`, price 1 on P's scale
+    (min(P), as the market loop leaves the least price at 1). The least
+    earning rho and each bundle's highest price t are compared with k as
+    integers: rho * k.den against k.num * one. A Phase-1 pick or a swap
+    that breaks MPB under P, which would cost the PO certificate, raises
+    PostconditionViolated.
+    """
     lam = 2 - 1 / k
     trace = _trivial_trace(inst, sol.x, lam, "weak")
     if trace.final_factor <= lam:
         return SolveResult(sol.x, trace, "bivalued", prices=sol.p, notes=["early-exit"])
-    rho, top = _price_split(sol)
-    if not rho < k:
+    rho, top = _price_split(sol.x, P)
+    one = P[0] * sol.p[0].denominator // sol.p[0].numerator
+    if not rho * k.denominator < k.numerator * one:
         raise RhoNotLessThanK(
-            f"least earning {rho} >= k = {k} contradicts the bivalued derivation"
+            f"least earning {Fraction(rho, one)} >= k = {k} contradicts the bivalued derivation"
         )
     # Prices lie in {1, k}: N_H holds the agents with a chore priced k.
-    nh = frozenset(i for i, t in enumerate(top) if t >= k)
+    nh = frozenset(i for i, t in enumerate(top) if t * k.denominator >= k.numerator * one)
     cert = FriendlyCertificate(lam, frozenset(range(inst.n)) - nh, nh, weak=True)
     x, trace = run_framework(inst, sol.x, cert)
     steps = [trace.phase1]
     for swap in trace.swaps:
         steps.append(chore_swap(steps[-1], *swap))
-    if not all(is_mpb_allocation(inst, step, sol.p) for step in steps):
+    rows = inst.integer_rows()
+    if not all(mpb_holds(rows, P, step.owners) for step in steps):
         raise PostconditionViolated(
             "the swap framework broke MPB under the start's prices (finding)", trace
         )
@@ -253,8 +271,7 @@ def solve_bivalued(inst: Instance) -> SolveResult:
     if not all(p == 1 or p == k for p in sol.p):
         span = ", ".join(map(str, sorted(set(sol.p))))
         raise PostconditionViolated(f"market prices {{{span}}} are not in {{1, {k}}} (finding)")
-    _require_pef1_mpb(inst, sol)
-    return _bivalued_candidate(inst, k, sol)
+    return _bivalued_candidate(inst, k, sol, _require_pef1_mpb(inst, sol))
 
 
 def _round_robin_two_phase(inst: Instance) -> Allocation:

@@ -220,6 +220,10 @@ def test_integer_rows_cached_and_outside_identity():
         assert type(rows) is tuple and all(type(r) is tuple for r in rows)
         assert all(type(v) is int for r in rows for v in r)
         assert [list(r) for r in rows] == [integer_row(r) for r in inst.d]
+        scales = inst.row_scales()
+        assert inst.row_scales() is scales
+        assert all(type(s) is int and s > 0 for s in scales)
+        assert all(r == tuple(v * s for v in row) for r, row, s in zip(rows, inst.d, scales))
         assert inst == twin and (hash(inst), repr(inst)) == before == (hash(twin), repr(twin))
 
 

@@ -11,6 +11,7 @@ from choreswap import (
     generate_random,
     is_alpha_efx,
     is_mpb_allocation,
+    is_pefk,
     is_po_bruteforce,
     search_pef1_mpb,
     solve_2efx,
@@ -26,6 +27,7 @@ from choreswap.errors import (
     InvariantViolation,
     NotBivalued,
     PostconditionViolated,
+    RhoNotLessThanK,
     RoundedInputInvalid,
     TooManyChores,
 )
@@ -223,12 +225,12 @@ def test_pef1_ladder_is_verified(n, m, seeds, scaled):
 
 
 def test_solve_bivalued_raises_when_the_framework_loses_mpb(monkeypatch):
-    # This instance runs the framework with one swap. The first MPB test
-    # (the gate) passes and every replayed step then fails.
+    # This instance runs the framework with one swap. The first integer
+    # MPB test (the gate) passes and every replayed step then fails.
     inst = make_instance([[1, 1, 3], [1, 1, 3]])
     assert solve_bivalued(inst).trace.swap_count == 1
     answers = iter([True])
-    monkeypatch.setattr(pipelines, "is_mpb_allocation", lambda *args: next(answers, False))
+    monkeypatch.setattr(pipelines, "mpb_holds", lambda *args: next(answers, False))
     with pytest.raises(PostconditionViolated, match="broke MPB") as e:
         solve_bivalued(inst)
     assert e.value.trace.swap_count == 1
@@ -239,6 +241,103 @@ def test_bivalued_market_step_cap_is_a_finding(monkeypatch):
     monkeypatch.setattr(pipelines, "MARKET_STEPS_PER_NM", 0)
     with pytest.raises(PostconditionViolated, match="passed its cap of 0 steps"):
         solve_bivalued(make_instance([[1, 1, 2], [1, 1, 2]]))
+
+
+class _Stop(Exception):
+    pass
+
+
+def _gate_starts(rng):
+    """(instance, start) pairs: market starts of uniform, bivalued
+    (k in {2, 5/2}) and row-scaled instances, each also with one owner
+    moved and with one price raised."""
+    for case in range(600):
+        n, m = rng.randint(2, 4), rng.randint(1, 9)
+        dist = [UniformInt(1, 20), Bivalued(Fraction(2)), Bivalued(Fraction(5, 2))][case % 3]
+        inst = generate_random(case, n, m, dist)
+        if case % 4 == 3:
+            inst = inst.scale_rows([Fraction(rng.randint(1, 9), rng.randint(1, 9)) for _ in range(n)])
+        sol = search_pef1_mpb(inst)
+        owners, p = list(sol.x.owners), list(sol.p)
+        j = rng.randrange(m)
+        owners[j] = rng.choice([i for i in range(n) if i != owners[j]])
+        p[rng.randrange(m)] *= rng.choice([Fraction(3, 2), 2, Fraction(5, 2)])
+        yield inst, sol
+        yield inst, Pef1Solution(Allocation(n, tuple(owners)), sol.p)
+        yield inst, Pef1Solution(sol.x, tuple(p))
+
+
+def test_integer_pef1_path_matches_the_fraction_checkers(monkeypatch):
+    # The integer gate, the N_H splits and the bivalued rho < k test read
+    # one integer price vector; each must agree with its Fraction form.
+    # The bivalued candidate is stopped at the framework, and its factor
+    # is patched past 2 - 1/k so that it reaches the rho test: no start
+    # of the market loop has rho >= k.
+    certs = []
+
+    def stop(inst, Y, cert):
+        certs.append(cert)
+        raise _Stop
+
+    monkeypatch.setattr(pipelines, "run_framework", stop)
+    monkeypatch.setattr(pipelines, "efx_factor", lambda inst, X: Fraction(2))
+    seen = {"mpb": 0, "pef1": 0, "pass": 0, "nh": 0, "rho": 0, "bivalued-nh": 0}
+    for inst, start in _gate_starts(random.Random(21)):
+        if not is_mpb_allocation(inst, start.x, start.p):
+            want = "solution is not an MPB allocation"
+        elif not is_pefk(inst, start.x, start.p, Fraction(1), 1):
+            want = "solution is not pEF1"
+        else:
+            want = None
+        try:
+            P = pipelines._require_pef1_mpb(inst, start)
+        except InvariantViolation as e:
+            assert str(e) == want, (inst.d, start)
+            seen["mpb" if "MPB" in want else "pef1"] += 1
+            continue
+        assert want is None, (inst.d, start)
+        seen["pass"] += 1
+        bundles = start.x.bundles()
+        if not all(bundles):
+            continue
+        earn = [sum((start.p[j] for j in b), Fraction(0)) for b in bundles]
+        top = [max(start.p[j] for j in b) for b in bundles]
+        nh = {i for i in range(inst.n) if top[i] > min(earn)}
+        assert certificate_from_pef1(inst, start).nh == nh, (inst.d, start)
+        seen["nh"] += bool(nh)
+        k = inst.bivalued_k()
+        if k is None:
+            continue
+        certs.clear()
+        try:
+            pipelines._bivalued_candidate(inst, k, start, P)
+        except RhoNotLessThanK as e:
+            assert not min(earn) < k
+            assert str(e) == f"least earning {min(earn)} >= k = {k} contradicts the bivalued derivation"
+            seen["rho"] += 1
+        except _Stop:
+            assert min(earn) < k
+            assert certs[0].nh == {i for i in range(inst.n) if top[i] >= k}, (inst.d, start)
+            seen["bivalued-nh"] += 1
+    assert all(v >= 25 for v in seen.values()), sorted(seen.items())
+
+
+@pytest.mark.parametrize("rows, owners, prices, text", [
+    # A pEF1+MPB start whose least earning 7/2 reaches k = 5/2.
+    ([["5/2", 1, 1, 1, 1, 1]] * 2, (0, 0, 1, 1, 1, 1), ["5/2", 1, 1, 1, 1, 1], "7/2"),
+    # All prices k: rho is read in the start's own prices, not from min(P).
+    ([["5/2"] * 3, ["5/2", "5/2", 1]], (0, 0, 1), ["5/2"] * 3, "5/2"),
+])
+def test_solve_bivalued_rejects_a_start_with_rho_at_least_k(monkeypatch, rows, owners, prices, text):
+    # Such a start is EFX-close enough to exit early, so the factor is
+    # patched past 2 - 1/k to reach the rho test.
+    inst = make_instance([[Fraction(v) for v in row] for row in rows])
+    start = Pef1Solution(Allocation(2, owners), tuple(Fraction(v) for v in prices))
+    monkeypatch.setattr(pipelines, "search_pef1_mpb", lambda inst: start)
+    monkeypatch.setattr(pipelines, "efx_factor", lambda inst, X: Fraction(2))
+    with pytest.raises(RhoNotLessThanK) as e:
+        solve_bivalued(inst)
+    assert str(e.value) == f"least earning {text} >= k = 5/2 contradicts the bivalued derivation"
 
 
 def test_solve_bivalued_rejects_three_values():
