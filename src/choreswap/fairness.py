@@ -37,7 +37,8 @@ def hat_d(inst: Instance, i: int, chores) -> Fraction:
     total = bundle_disutility(inst, i, chores)
     if len(chores) <= 1:
         return Fraction(0)
-    return total - min(inst.d[i][j] for j in chores)
+    row = inst.integer_rows()[i]
+    return total - Fraction(min(row[j] for j in chores), inst.row_scales()[i])
 
 
 def _residual(row, bundle, k: Optional[int] = None):

@@ -20,7 +20,7 @@ from .errors import (
     PostconditionViolated,
     SelfSwap,
 )
-from .fairness import _cross_sums, _envy_terms, _within, _worst_envy, efx_factor, hat_d
+from .fairness import _cross_sums, _residual, _within, _worst_envy, efx_factor, hat_d
 from .model import Allocation, Instance
 
 
@@ -59,22 +59,57 @@ class Violation:
         return f"condition ({self.condition}) fails for {pair}: {self.lhs} <= {self.rhs} is false"
 
 
-def validate_certificate(
-    inst: Instance, X: Allocation, cert: FriendlyCertificate
-) -> List[Violation]:
-    """Check every certificate inequality exactly; empty list means Valid.
+class _State:
+    """One integer allocation state for a framework run: the owner list,
+    the bundles (unsorted lists), the cross sums cross[i][h], the cost of
+    bundle h under agent i's integer row, and, once `settle` has run, the
+    EFX numerators nums[i], X_i under row i less its cheapest chore. A
+    move or a swap updates them in place to what `fairness._envy_terms`
+    gives for the new allocation."""
 
-    Strict mode checks the four friendly conditions with d_i on the left;
-    weak mode uses hat-d on the left and additionally requires, for each
-    agent in NH with a non-singleton bundle, that her cheapest bundle
-    chore lies in the residual S_i. A condition compares one left-hand
-    side with coef * v_k over agents k, so all pairs hold iff the
-    tightest does (least v_k if coef >= 0, else greatest). Both sides are
-    integers on row i's scale s_i (`Instance.row_scales`): strict
-    left-hand sides come from the integer rows and their cross sums, weak
-    ones are hat-d times s_i. A Fraction is built only to report a
-    violation.
-    """
+    def __init__(self, rows, X: Allocation):
+        self.rows = rows
+        self.cross = _cross_sums(rows, X)  # rejects an X of another shape first
+        self.owners = list(X.owners)
+        self.bundles = X.bundles()
+        self.nums = None
+
+    def allocation(self) -> Allocation:
+        return Allocation(len(self.rows), tuple(self.owners))
+
+    def move(self, j: int, i: int):
+        """Give chore j to agent i: two cross columns change, O(n)."""
+        o = self.owners[j]
+        if o == i:
+            return
+        self.owners[j] = i
+        self.bundles[o].remove(j)
+        self.bundles[i].append(j)
+        for c, row in zip(self.cross, self.rows):
+            c[o] -= row[j]
+            c[i] += row[j]
+
+    def settle(self):
+        """Compute every numerator from the bundles."""
+        self.nums = [_residual(row, b) for row, b in zip(self.rows, self.bundles)]
+
+    def swap(self, i: int, l: int, j_i: int):
+        """The (i, l) chore swap in place: columns i and l of the cross
+        sums and the numerators of i and l change."""
+        _swap_owners(self.owners, i, l, j_i)
+        bundles, rows = self.bundles, self.rows
+        bundles[i] = [j for j in bundles[i] if j != j_i] + bundles[l]
+        bundles[l] = [j_i]
+        for c, row in zip(self.cross, rows):
+            c[i] += c[l] - row[j_i]
+            c[l] = row[j_i]
+        for a in (i, l):
+            self.nums[a] = _residual(rows[a], bundles[a])
+
+
+def _certify(inst: Instance, X: Allocation, cert: FriendlyCertificate):
+    """(violations, state, desig): the violations of `validate_certificate`,
+    the `_State` of X and each agent's designated chore."""
     violations: List[Violation] = []
     agents = frozenset(range(inst.n))
     if cert.n0 | cert.nh != agents or cert.n0 & cert.nh:
@@ -82,8 +117,8 @@ def validate_certificate(
             [Violation("partition", -1, None, sorted(cert.n0), sorted(cert.nh))]
         )
     rows = inst.integer_rows()
-    cross = _cross_sums(rows, X)  # rejects an X of another shape first
-    bundles = X.bundles()
+    state = _State(rows, X)
+    cross, bundles = state.cross, state.bundles
     for i, b in enumerate(bundles):
         if not b:
             raise EmptyBundle(i)
@@ -128,20 +163,44 @@ def validate_certificate(
                 violations.append(
                     Violation("bundle-min", i, None, inst.d[i][res_min], inst.d[i][low])
                 )
-    return violations
+    return violations, state, desig
 
 
-def chore_swap(X: Allocation, i: int, l: int, j_i: int) -> Allocation:
-    """(i, l) swap: i takes l's whole bundle and hands over chore j_i."""
+def validate_certificate(
+    inst: Instance, X: Allocation, cert: FriendlyCertificate
+) -> List[Violation]:
+    """Check every certificate inequality exactly; empty list means Valid.
+
+    Strict mode checks the four friendly conditions with d_i on the left;
+    weak mode uses hat-d on the left and additionally requires, for each
+    agent in NH with a non-singleton bundle, that her cheapest bundle
+    chore lies in the residual S_i. A condition compares one left-hand
+    side with coef * v_k over agents k, so all pairs hold iff the
+    tightest does (least v_k if coef >= 0, else greatest). Both sides are
+    integers on row i's scale s_i (`Instance.row_scales`): strict
+    left-hand sides come from the integer rows and their cross sums, weak
+    ones are hat-d times s_i. A Fraction is built only to report a
+    violation.
+    """
+    return _certify(inst, X, cert)[0]
+
+
+def _swap_owners(owners: list, i: int, l: int, j_i: int):
+    """The (i, l) swap on an owner list, in place."""
     if i == l:
         raise SelfSwap(f"agent {i + 1} cannot swap with itself")
-    if X.owners[j_i] != i:
+    if owners[j_i] != i:
         raise ChoreNotHeld(f"chore {j_i + 1} is not held by agent {i + 1}")
-    owners = list(X.owners)
     for j, o in enumerate(owners):
         if o == l:
             owners[j] = i
     owners[j_i] = l
+
+
+def chore_swap(X: Allocation, i: int, l: int, j_i: int) -> Allocation:
+    """(i, l) swap: i takes l's whole bundle and hands over chore j_i."""
+    owners = list(X.owners)
+    _swap_owners(owners, i, l, j_i)
     return Allocation(X.n, tuple(owners))
 
 
@@ -185,28 +244,31 @@ def run_framework(
     efx_factor <= lambda; that postcondition and the three per-iteration
     invariants are re-verified and escalate on failure. Envy is compared
     on the integer rescaling of each row, which leaves lambda-EFX unchanged.
+
+    One integer allocation state (`_State`) serves the whole run: the
+    certificate check builds it with the bundles, cross sums and
+    designated chores of Y, each Phase-1 pick moves one chore (two cross
+    columns, O(n)), and each swap updates the state of i and l. Only the
+    final factor is recomputed from scratch, by `efx_factor`.
     """
-    violations = validate_certificate(inst, Y, cert)
+    violations, state, desig = _certify(inst, Y, cert)
     if violations:
         raise CertificateInvalid(violations)
     lam = cert.lam
     trace = SwapTrace(lam=lam, mode=cert.mode)
-    rows = inst.integer_rows()
-    bundles = Y.bundles()
+    rows = state.rows
     order = sorted(cert.nh)  # NH re-indexed as [r] in ascending agent order
-    desig = {i: designated_chore(inst, i, bundles[i]) for i in order}
 
     # Phase 1: pull out the designated chores and re-allocate round-robin.
-    pool = set(desig.values())
-    owners = list(Y.owners)
+    pool = sorted(desig[i] for i in order)  # min takes the first, lowest index
     picked = {}
     for i in order:
-        j = min(pool, key=lambda c: (rows[i][c], c))
+        j = min(pool, key=rows[i].__getitem__)
         pool.remove(j)
-        owners[j] = i
+        state.move(j, i)
         picked[i] = j
         trace.picks.append((i, j))
-    X = trace.phase1 = Allocation(inst.n, tuple(owners))
+    X = trace.phase1 = state.allocation()
 
     # Pick-order dominance: each agent weakly prefers her own pick to
     # every later agent's pick.
@@ -216,9 +278,10 @@ def run_framework(
             if rows[i][picked[i]] > rows[i][picked[h]]:
                 trace.flags.append(f"pick-dominance i={i + 1} h={h + 1}")
 
-    # Phase 2: chore swaps in pick order. nums and cross change only when
-    # a swap does.
-    nums, cross = _envy_terms(rows, X)
+    # Phase 2: chore swaps in pick order. A swap updates nums and cross in
+    # place.
+    state.settle()
+    nums, cross = state.nums, state.cross
 
     def lam_efx(agents) -> bool:
         return _within(_worst_envy(nums, cross, agents), lam)
@@ -232,8 +295,7 @@ def run_framework(
         if not lam_efx((i,)):
             l = min((h for h in range(inst.n) if h != i), key=lambda h: (cross[i][h], h))
             j_i = picked[i]
-            X = chore_swap(X, i, l, j_i)
-            nums, cross = _envy_terms(rows, X)
+            state.swap(i, l, j_i)
             swapped.add(i)
             swapped.add(l)
             trace.swaps.append((i, l, j_i))
@@ -250,6 +312,8 @@ def run_framework(
             # invariant (iii) (N0 and NH up to i) carries over from i - 1.
             inv3 = lam_efx(cert.n0 | set(order[: pos + 1]))
         trace.invariants.append((i, "iii", inv3))
+    if trace.swaps:
+        X = state.allocation()
 
     factor = efx_factor(inst, X)
     trace.final_factor = factor

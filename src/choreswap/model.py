@@ -3,9 +3,11 @@
 All numeric quantities are exact: `int` or `fractions.Fraction`, never
 float or bool; no floating point enters any fairness computation.
 Instances, allocations and price vectors are immutable after
-construction and safe to share across threads. An instance builds its
-integer rows (each row times the lcm of its denominators), those lcms
-and its bivalued ratio once each, on first use.
+construction and safe to share across threads. An instance holds its
+integer rows (each row times the lcm of its denominators) and those
+lcms; the parser and the generator build them straight from their
+input. Its Fraction matrix d and its bivalued ratio are built once
+each, on first use.
 """
 
 from __future__ import annotations
@@ -82,27 +84,38 @@ def integer_row(row: Sequence[Fraction]) -> list:
     return [v.numerator * (scale // v.denominator) for v in row]
 
 
+def _scaled_rows(rows) -> tuple:
+    """(integer rows, scales) of rows of ints and Fractions: each row
+    times its scale, the lcm of its denominators, as a tuple."""
+    scales = tuple(math.lcm(*[v.denominator for v in row]) for row in rows)
+    return tuple(tuple(integer_row(row)) for row in rows), scales
+
+
 _EXACT = (int, Fraction)
 
 
-@dataclass(frozen=True)
 class Instance:
     """A chore division instance: n agents, m chores, strictly positive
-    disutility matrix d (n rows, m columns). Entries may be given as ints
-    or Fractions; ints are stored as Fractions, so every quotient of two
-    entries is exact. The integer rows are built once, on first use (or
-    by parse_instance for an all-integer file), as tuples; like their
-    scales and the bivalued ratio, also found once, they are not part of
-    equality, hash or repr."""
+    disutility matrix d (n rows, m columns).
 
-    d: tuple
+    The data are the integer rows, each row of d times its scale s_i (the
+    lcm of the row's denominators), and those scales. `parse_instance`
+    and `generate_random` build them straight from their input, which
+    they have already checked. `Instance(d)` checks d, with ints or
+    Fractions as entries, and derives them; it keeps d, with ints stored
+    as Fractions so every quotient of two entries is exact. Otherwise d
+    is built on first use, one shared Fraction per distinct value.
 
-    def __post_init__(self):
-        if len(self.d) < 1:
+    Two instances are equal iff their d are. d fixes the integer rows and
+    scales and they fix d, so equality and hash compare those and build
+    no d; repr shows d. Instances are immutable."""
+
+    def __init__(self, d):
+        if len(d) < 1:
             raise MalformedHeader("instance needs at least one agent")
-        m = len(self.d[0])
+        m = len(d[0])
         has_int = False
-        for i, row in enumerate(self.d):
+        for i, row in enumerate(d):
             if len(row) != m:
                 raise RowCountMismatch(f"row {i + 1} has {len(row)} entries, expected {m}")
             for j, v in enumerate(row):
@@ -118,16 +131,53 @@ class Instance:
                         f"d[{i + 1}][{j + 1}] = {v} is not positive"
                     )
         if has_int:
-            exact = tuple(tuple(Fraction(v) for v in row) for row in self.d)
-            object.__setattr__(self, "d", exact)
+            d = tuple(tuple(Fraction(v) for v in row) for row in d)
+        self._init(*_scaled_rows(d))
+        self.__dict__["d"] = d
 
-    @property
-    def n(self) -> int:
-        return len(self.d)
+    @classmethod
+    def _from_rows(cls, rows: tuple, scales: tuple) -> "Instance":
+        """An instance from checked integer rows (tuples of positive ints,
+        all of one length) and their scales: each row times the lcm of
+        its denominators, as `integer_row` gives it, and that lcm."""
+        if not rows:
+            raise MalformedHeader("instance needs at least one agent")
+        inst = cls.__new__(cls)
+        inst._init(rows, scales)
+        return inst
 
-    @property
-    def m(self) -> int:
-        return len(self.d[0])
+    def _init(self, rows: tuple, scales: tuple):
+        self.__dict__.update(n=len(rows), m=len(rows[0]), _rows=rows, _scales=scales)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r} of a frozen Instance")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r} of a frozen Instance")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._rows == other._rows and self._scales == other._scales
+
+    def __hash__(self):
+        return hash((self._rows, self._scales))
+
+    def __repr__(self):
+        return f"Instance(d={self.d!r})"
+
+    @cached_property
+    def d(self) -> tuple:
+        """Row i is integer_rows()[i] over row_scales()[i], as Fractions."""
+        values = {}  # (a, b) -> Fraction(a, b); equal values share one
+        out = []
+        for row, s in zip(self._rows, self._scales):
+            for v in row:
+                if (v, s) not in values:
+                    f = Fraction(v, s)
+                    values[v, s] = values.setdefault((f.numerator, f.denominator), f)
+            out.append(tuple([values[v, s] for v in row]))
+        return tuple(out)
 
     def check_agent(self, i: int):
         if not 0 <= i < self.n:
@@ -137,63 +187,47 @@ class Instance:
         if not 0 <= j < self.m:
             raise ChoreOutOfRange(f"chore index {j} out of range [0, {self.m})")
 
-    def scale_rows(self, factors: Sequence[Fraction]) -> "Instance":
-        """Return a copy with row i multiplied by factors[i] (> 0 each)."""
-        return Instance(
-            tuple(
-                tuple(v * f for v in row) for row, f in zip(self.d, factors)
-            )
-        )
-
-    @cached_property
-    def _integer_rows(self) -> tuple:
-        return tuple(tuple(integer_row(row)) for row in self.d)
-
     def integer_rows(self) -> tuple:
-        """Per-row integer rescalings of d (row-scale invariant uses only)."""
-        return self._integer_rows
-
-    @cached_property
-    def _row_scales(self) -> tuple:
-        return tuple(math.lcm(*[v.denominator for v in row]) for row in self.d)
+        """Per-row integer rescalings of d (row-scale invariant uses only),
+        as a tuple of int tuples."""
+        return self._rows
 
     def row_scales(self) -> tuple:
         """The per-row scales s_i of the integer rows: integer_rows()[i]
         is d[i] times s_i, the lcm of row i's denominators."""
-        return self._row_scales
+        return self._scales
 
     @cached_property
     def _bivalued_k(self) -> Optional[Fraction]:
+        scale = math.lcm(*self._scales)
         values = set()
-        for row in self.d:
-            for v in row:
-                values.add((v.numerator, v.denominator))
-                if len(values) > 2:
-                    return None
+        for row, s in zip(self._rows, self._scales):
+            values.update(row if s == scale else [v * (scale // s) for v in row])
+            if len(values) > 2:
+                return None
         if len(values) < 2:
             return Fraction(1)
-        (a, b), (c, d) = values
-        k = Fraction(a * d, b * c)
-        return k if k > 1 else 1 / k
+        return Fraction(max(values), min(values))
 
     def bivalued_k(self) -> Optional[Fraction]:
         """If all entries take at most two values {a, b}, return
-        k = max(a,b)/min(a,b); otherwise None. Entries are collected as
-        (numerator, denominator) pairs, equal exactly when the normalized
-        Fractions are and cheaper to hash, and the scan stops at a third
-        distinct value. The scan runs once per instance."""
+        k = max(a,b)/min(a,b); otherwise None. The values are compared
+        as integers on the common scale, the lcm of the row scales, and
+        the scan stops after the first row that brings a third value. It
+        runs once per instance."""
         return self._bivalued_k
 
 
 def bundle_disutility(inst: Instance, i: int, chores: Iterable[int]) -> Fraction:
-    """Exact additive disutility of agent i for a set of chores."""
+    """Exact additive disutility of agent i for a set of chores: the sum
+    on the integer row over the row's scale."""
     inst.check_agent(i)
-    total = Fraction(0)
-    row = inst.d[i]
+    total = 0
+    row = inst.integer_rows()[i]
     for j in chores:
         inst.check_chore(j)
         total += row[j]
-    return total
+    return Fraction(total, inst.row_scales()[i])
 
 
 def parse_instance(text: str) -> Instance:
@@ -224,10 +258,10 @@ def parse_instance(text: str) -> Instance:
     if m == 0:
         if any(tok for _, tok in rows_in):
             raise RowCountMismatch("expected no matrix rows when m = 0")
-        return Instance(tuple(() for _ in range(n)))
+        return Instance._from_rows(((),) * n, (1,) * n)
     if len(rows_in) != n:
         raise RowCountMismatch(f"expected {n} matrix rows, found {len(rows_in)}")
-    values = {}  # one Fraction per distinct token; a bad one raises at once
+    values = {}  # token -> int, or Fraction if not integral; a bad one raises at once
     rows = []
     for i, (lno, ln) in enumerate(rows_in):
         toks = ln.split()
@@ -237,24 +271,26 @@ def parse_instance(text: str) -> Instance:
             )
         for col, tok in enumerate(toks):
             if tok not in values:
-                v = parse_rational(tok, lno, col + 1)
-                if v.numerator <= 0:
+                # isdecimal() takes exactly the tokens parse_rational reads as ints.
+                v = int(tok) if tok.isdecimal() else parse_rational(tok, lno, col + 1)
+                if v <= 0:
                     raise NonPositiveDisutility(
                         f"disutility must be positive, got {tok}", lno, col + 1
                     )
-                values[tok] = v
-        rows.append(tuple([values[tok] for tok in toks]))
-    inst = Instance(tuple(rows))
-    if all(v.denominator == 1 for v in values.values()):  # lcm 1: seed the rows
-        ints = tuple([tuple([v.numerator for v in row]) for row in rows])
-        object.__setattr__(inst, "_integer_rows", ints)
-    return inst
+                values[tok] = v.numerator if v.denominator == 1 else v
+        rows.append([values[tok] for tok in toks])
+    if all(type(v) is int for v in values.values()):
+        return Instance._from_rows(tuple(map(tuple, rows)), (1,) * n)
+    return Instance._from_rows(*_scaled_rows(rows))
 
 
 def serialize_instance(inst: Instance) -> str:
     out = [f"{inst.n} {inst.m}"]
-    for row in inst.d:
-        out.append(" ".join(map(format_rational, row)))
+    for row, s in zip(inst.integer_rows(), inst.row_scales()):
+        if s == 1:
+            out.append(" ".join(map(str, row)))
+        else:
+            out.append(" ".join(format_rational(Fraction(v, s)) for v in row))
     return "\n".join(out) + "\n"
 
 
@@ -390,18 +426,20 @@ def parse_distribution(spec: str) -> Distribution:
 
 def generate_random(seed: int, n: int, m: int, dist: Distribution) -> Instance:
     """Deterministic random instance for a fixed (seed, n, m, dist): entries
-    drawn row by row, one Fraction shared per distinct value."""
+    drawn row by row, straight into integer rows. A Bivalued k of another
+    type than Fraction goes through `Instance(d)`, which checks it."""
     rng = random.Random(seed)
     if isinstance(dist, UniformInt):
-        values = {}
-        rows = []
-        for _ in range(n):
-            draws = [rng.randint(dist.lo, dist.hi) for _ in range(m)]
-            for v in draws:
-                if v not in values:
-                    values[v] = Fraction(v)
-            rows.append(tuple([values[v] for v in draws]))
-    else:
-        values = (Fraction(1), dist.k)
-        rows = [tuple([values[rng.randint(0, 1)] for _ in range(m)]) for _ in range(n)]
-    return Instance(tuple(rows))
+        rows = tuple(tuple([rng.randint(dist.lo, dist.hi) for _ in range(m)]) for _ in range(n))
+        return Instance._from_rows(rows, (1,) * n)
+    k = dist.k
+    draws = [[rng.randint(0, 1) for _ in range(m)] for _ in range(n)]
+    if not isinstance(k, Fraction):
+        values = (Fraction(1), k)
+        return Instance(tuple(tuple([values[b] for b in row]) for row in draws))
+    # k = a/b in lowest terms: a row holding k is (b, a) on scale b, any
+    # other row is all ones on scale 1.
+    on_k = (k.denominator, k.numerator)
+    rows = tuple(tuple([on_k[b] for b in row]) if any(row) else (1,) * m for row in draws)
+    scales = tuple(k.denominator if any(row) else 1 for row in draws)
+    return Instance._from_rows(rows, scales)

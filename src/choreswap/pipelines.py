@@ -290,13 +290,14 @@ def _round_robin_two_phase(inst: Instance) -> Allocation:
     """
     n, m = inst.n, inst.m
     rows = inst.integer_rows()
-    pool = set(range(m))
+    pool = list(range(m))
     bundles = [set() for _ in range(n)]
     for i in [*range(m - n - 1, -1, -1), *range(n)]:
         if not pool:
             break
-        tie = -1 if len(pool) > n else 1  # Phase A leaves n chores
-        j = min(pool, key=lambda c: (rows[i][c], tie * c))
+        # min takes the first least chore: Phase A, which leaves n chores,
+        # scans from the highest index.
+        j = min(reversed(pool) if len(pool) > n else pool, key=rows[i].__getitem__)
         pool.remove(j)
         bundles[i].add(j)
     return allocation_from_bundles(n, m, bundles)

@@ -1,5 +1,6 @@
-"""Shared test fixtures: the three worked instances and a builder for
-rounded market-equilibrium inputs feeding the 4-EFX pipeline."""
+"""Shared test fixtures: the three worked instances, a row rescaling
+helper and a builder for rounded market-equilibrium inputs feeding the
+4-EFX pipeline."""
 
 import random
 from fractions import Fraction
@@ -13,6 +14,11 @@ def F(a, b=1):
 
 def make_instance(rows):
     return Instance(tuple(tuple(Fraction(v) for v in row) for row in rows))
+
+
+def scale_rows(inst, factors):
+    """A copy of inst with row i multiplied by factors[i] (> 0 each)."""
+    return Instance(tuple(tuple(v * f for v in row) for row, f in zip(inst.d, factors)))
 
 
 def inst_i1():

@@ -32,7 +32,7 @@ from choreswap.pipelines import validate_rounded_er
 from choreswap.model import UniformInt, integer_row
 from choreswap.oracle import enumerate_allocations
 
-from conftest import inst_i1, inst_i3, make_instance
+from conftest import inst_i1, inst_i3, make_instance, scale_rows
 
 
 def test_efx_factor_i1():
@@ -111,8 +111,8 @@ def test_efk_shortcut_matches_subset_enumeration():
         n, m = 2, rng.randint(2, 6)
         inst = generate_random(trial, n, m, UniformInt(1, 12))
         if trial % 2:
-            inst = inst.scale_rows(
-                [Fraction(scale_rng.randint(1, 9), scale_rng.randint(2, 9)) for _ in range(n)]
+            inst = scale_rows(
+                inst, [Fraction(scale_rng.randint(1, 9), scale_rng.randint(2, 9)) for _ in range(n)]
             )
         x = Allocation(n, tuple(rng.randrange(n) for _ in range(m)))
         alpha = Fraction(rng.randint(0, 30), 10)
@@ -282,7 +282,7 @@ def test_scale_invariance():
         n, m = 2, rng.randint(2, 5)
         inst = generate_random(200 + trial, n, m, UniformInt(1, 9))
         factors = [Fraction(rng.randint(1, 9), rng.randint(1, 9)) for _ in range(n)]
-        scaled = inst.scale_rows(factors)
+        scaled = scale_rows(inst, factors)
         x = Allocation(n, tuple(rng.randrange(n) for _ in range(m)))
         assert efx_factor(inst, x) == efx_factor(scaled, x)
         assert is_po_bruteforce(inst, x).status == is_po_bruteforce(scaled, x).status
@@ -364,7 +364,7 @@ def test_envy_terms_match_per_bundle_sums():
         m = rng.randint(0, 7)
         inst = generate_random(trial, n, m, UniformInt(1, 9))
         if trial % 2:
-            inst = inst.scale_rows([Fraction(rng.randint(1, 9), rng.randint(1, 9)) for _ in range(n)])
+            inst = scale_rows(inst, [Fraction(rng.randint(1, 9), rng.randint(1, 9)) for _ in range(n)])
         x = Allocation(n, tuple(rng.randrange(n) for _ in range(m)))
         empty += not all(x.bundles())
         p = tuple(Fraction(rng.randint(1, 9), rng.randint(1, 4)) for _ in range(m))

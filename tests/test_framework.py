@@ -27,12 +27,16 @@ from choreswap.errors import (
     PostconditionViolated,
     SelfSwap,
 )
+from choreswap import framework
+from choreswap.fairness import _envy_terms
 from choreswap.framework import Violation
 from choreswap.model import UniformInt
 from choreswap.oracle import CertificateBounds
-from choreswap.pipelines import _round_robin_two_phase
+from choreswap.pipelines import _round_robin_two_phase, solve_small_m
 
-from conftest import inst_i1, inst_i3, make_instance
+import test_golden
+
+from conftest import inst_i1, inst_i3, make_instance, scale_rows
 
 
 def cert(lam, n0, nh, weak=False):
@@ -107,9 +111,10 @@ def test_integer_picks_match_fraction_reference():
     for _ in range(300):
         n = rng.randint(1, 6)
         m = rng.randint(0, 2 * n)
-        inst = make_instance(
-            [[rng.randint(1, 3) for _ in range(m)] for _ in range(n)]
-        ).scale_rows([Fraction(rng.randint(1, 50), rng.randint(1, 50)) for _ in range(n)])
+        inst = scale_rows(
+            make_instance([[rng.randint(1, 3) for _ in range(m)] for _ in range(n)]),
+            [Fraction(rng.randint(1, 50), rng.randint(1, 50)) for _ in range(n)],
+        )
         for i in range(n):
             bundle = rng.sample(range(m), rng.randint(0, m))
             assert designated_chore(inst, i, bundle) == _fraction_designated(inst, i, bundle)
@@ -179,6 +184,44 @@ def test_framework_preserves_chore_multiset():
         assert efx_factor(inst, x) <= c.lam
 
 
+def test_incremental_state_matches_recompute(monkeypatch):
+    # run_framework keeps one allocation state: after Phase 1 and after
+    # every swap it must equal a from-scratch _envy_terms of the owners.
+    checks = {"phase1": 0, "swap": 0}
+
+    class CheckedState(framework._State):
+        def check(self, when):
+            X = self.allocation()
+            nums, cross = _envy_terms(self.rows, X)
+            assert [sorted(b) for b in self.bundles] == X.bundles()
+            assert (self.nums, self.cross) == (nums, cross)
+            checks[when] += 1
+
+        def settle(self):
+            super().settle()
+            self.check("phase1")
+
+        def swap(self, i, l, j_i):
+            super().swap(i, l, j_i)
+            self.check("swap")
+
+    monkeypatch.setattr(framework, "_State", CheckedState)
+    # The golden corpora of all four pipelines, with their outputs pinned.
+    assert test_golden.golden_digest() == test_golden.GOLDEN_DIGEST
+    assert checks["phase1"] > 0 and checks["swap"] > 0
+    golden = dict(checks)
+    # Small-m instances of the benchmark's shapes, where swaps are common.
+    rng = random.Random(2323)
+    swapped = 0
+    for _ in range(2000):
+        n = rng.randint(3, 8)
+        m = rng.randint(n + 1, 2 * n)
+        res = solve_small_m(generate_random(rng.randrange(1 << 30), n, m, UniformInt(1, 20)))
+        swapped += res.trace.swap_count > 0
+    assert checks["phase1"] == golden["phase1"] + 2000
+    assert checks["swap"] - golden["swap"] >= swapped >= 200, swapped
+
+
 def test_trace_log_shape():
     inst = inst_i3()
     y = Allocation(2, (0, 0, 1, 1))
@@ -229,8 +272,8 @@ def test_certificate_and_run_are_row_scale_invariant():
     rng = random.Random(2718)
     valid = 0
     for inst, y, c in _row_scale_cases(rng):
-        scaled = inst.scale_rows(
-            [Fraction(rng.randint(1, 60), rng.randint(1, 60)) for _ in range(inst.n)]
+        scaled = scale_rows(
+            inst, [Fraction(rng.randint(1, 60), rng.randint(1, 60)) for _ in range(inst.n)]
         )
         before, after = (
             [(v.condition, v.agent, v.other) for v in validate_certificate(a, y, c)]

@@ -22,7 +22,7 @@ from choreswap import (
 from choreswap.errors import ChoreSwapError
 from choreswap.model import Bivalued, UniformInt
 
-from conftest import ROUNDED_SHAPES, rounded_fixture
+from conftest import ROUNDED_SHAPES, rounded_fixture, scale_rows
 
 GOLDEN_DIGEST = "d42de42da4685418db704eb22166d810f9aa39854668b4a80179a16a81e6c863"
 
@@ -49,7 +49,7 @@ def _pef1_corpus(rng):
         m = rng.randint(0, 3) if t % 10 == 0 else rng.randint(n, (8, 9, 8, 7)[n - 1])
         inst = generate_random(rng.randrange(1 << 30), n, m, UniformInt(1, 20))
         if t % 3 == 0:
-            inst = inst.scale_rows(_row_factors(rng, n))
+            inst = scale_rows(inst, _row_factors(rng, n))
         yield inst
 
 
@@ -70,7 +70,7 @@ def _bivalued_corpus(rng):
             m = rng.randint(0, 3) if t % 10 == 0 else rng.randint(2 * n, (8, 9, 9, 9)[n - 1])
             inst = generate_random(rng.randrange(1 << 30), n, m, Bivalued(k))
         if t % 4 < 2:
-            inst = inst.scale_rows([Fraction(rng.randint(1, 6), rng.randint(1, 6))] * n)
+            inst = scale_rows(inst, [Fraction(rng.randint(1, 6), rng.randint(1, 6))] * n)
         yield inst
 
 
@@ -80,7 +80,7 @@ def _small_m_corpus(rng):
         m = rng.randint(0, 2 * n)
         inst = generate_random(rng.randrange(1 << 30), n, m, UniformInt(1, 20))
         if t % 3 == 0:
-            inst = inst.scale_rows(_row_factors(rng, n))
+            inst = scale_rows(inst, _row_factors(rng, n))
         yield inst
 
 
@@ -126,7 +126,7 @@ def test_solve_bivalued_is_scale_invariant():
             ))
         c = Fraction(rng.randint(1, 30), rng.randint(1, 30))
         base = _outcome(solve_bivalued, inst)
-        scaled = _outcome(solve_bivalued, inst.scale_rows([c] * inst.n))
+        scaled = _outcome(solve_bivalued, scale_rows(inst, [c] * inst.n))
         if base[0] == "error":
             base, scaled = base[:2], scaled[:2]
         assert base == scaled, (inst.d, c)

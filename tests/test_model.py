@@ -1,4 +1,5 @@
 import hashlib
+import math
 import random
 from fractions import Fraction
 
@@ -33,7 +34,7 @@ from choreswap.errors import (
 )
 from choreswap.model import _RATIONAL_RE, Bivalued, UniformInt, integer_row
 
-from conftest import make_instance
+from conftest import make_instance, scale_rows
 
 
 def test_parse_instance_basic():
@@ -212,7 +213,7 @@ def test_integer_rows_cached_and_outside_identity():
             )
         )
         if case % 2:
-            inst = inst.scale_rows([Fraction(rng.randint(1, 9), rng.randint(1, 9)) for _ in range(n)])
+            inst = scale_rows(inst, [Fraction(rng.randint(1, 9), rng.randint(1, 9)) for _ in range(n)])
         twin = Instance(inst.d)
         before = (hash(inst), repr(inst))
         rows = inst.integer_rows()
@@ -229,8 +230,8 @@ def test_integer_rows_cached_and_outside_identity():
 
 @pytest.mark.parametrize("kind", ["integer", "fractional", "mixed"])
 def test_parsed_integer_rows_match_integer_row(kind):
-    # The parser seeds the integer rows of an all-integer file; each value
-    # comes in several spellings, which the token cache keeps apart.
+    # The parser builds the integer rows itself; each value comes in
+    # several spellings, which the token cache keeps apart.
     rng = random.Random(f"parse-{kind}")
 
     def token():
@@ -245,13 +246,83 @@ def test_parsed_integer_rows_match_integer_row(kind):
             " ".join(token() for _ in range(m)) + "\n" for _ in range(n)
         )
         inst = parse_instance(text)
-        integral = all(v.denominator == 1 for row in inst.d for v in row)
-        assert ("_integer_rows" in vars(inst)) == integral
+        # Parsing builds the integer rows, and no Fraction matrix.
+        assert "d" not in vars(inst)
         rows = inst.integer_rows()
         assert rows == tuple(tuple(integer_row(r)) for r in inst.d)
         assert all(type(r) is tuple for r in rows)
         assert all(type(v) is int for r in rows for v in r)
         assert inst == Instance(inst.d) and hash(inst) == hash(Instance(inst.d))
+
+
+def _fraction_generate(seed, n, m, dist):
+    """generate_random's draws, as a matrix of Fractions."""
+    rng = random.Random(seed)
+    if isinstance(dist, UniformInt):
+        return tuple(
+            tuple(Fraction(rng.randint(dist.lo, dist.hi)) for _ in range(m)) for _ in range(n)
+        )
+    values = (Fraction(1), dist.k)
+    return tuple(tuple(values[rng.randint(0, 1)] for _ in range(m)) for _ in range(n))
+
+
+def _fraction_bivalued_k(d):
+    values = {v for row in d for v in row}
+    if len(values) > 2:
+        return None
+    return max(values) / min(values) if len(values) == 2 else Fraction(1)
+
+
+def _routed_cases():
+    """(instance from parse_instance or generate_random, the same matrix
+    as Fractions): uniform, bivalued k in {2, 5/2}, fractional files and
+    files of row-scaled instances."""
+    rng = random.Random(2323)
+    for t in range(600):
+        n, m = rng.randint(1, 5), rng.randint(0, 9)
+        seed = rng.randrange(1 << 30)
+        kind = t % 4
+        if kind < 2:
+            k = rng.choice([Fraction(2), Fraction(5, 2)])
+            dist = UniformInt(1, 20) if kind == 0 else Bivalued(k)
+            yield generate_random(seed, n, m, dist), _fraction_generate(seed, n, m, dist)
+        elif kind == 2:
+            toks = [
+                [rng.choice([str(rng.randint(1, 9)), f"{rng.randint(1, 30)}/{rng.randint(1, 12)}"])
+                 for _ in range(m)]
+                for _ in range(n)
+            ]
+            text = f"{n} {m}\n" + "".join(" ".join(row) + "\n" for row in toks)
+            yield parse_instance(text), tuple(tuple(Fraction(tok) for tok in row) for row in toks)
+        else:
+            base = generate_random(seed, n, m, UniformInt(1, 20))
+            scaled = scale_rows(base, [Fraction(rng.randint(1, 9), rng.randint(1, 9)) for _ in range(n)])
+            yield parse_instance(serialize_instance(scaled)), scaled.d
+
+
+def test_construction_routes_agree():
+    # The parser and the generator build integer rows and scales; Instance(d)
+    # derives them from d. Both routes must give the same instance, and the
+    # first builds d only on first use.
+    kinds = set()
+    for inst, d in _routed_cases():
+        ref = Instance(d)
+        assert (inst.n, inst.m) == (ref.n, ref.m) == (len(d), len(d[0]))
+        assert inst.integer_rows() == ref.integer_rows() == tuple(tuple(integer_row(r)) for r in d)
+        assert inst.row_scales() == ref.row_scales()
+        assert inst.row_scales() == tuple(math.lcm(*[v.denominator for v in r]) for r in d)
+        assert inst.bivalued_k() == ref.bivalued_k() == _fraction_bivalued_k(d)
+        assert inst == ref and ref == inst and hash(inst) == hash(ref)
+        assert "d" not in vars(inst)  # nothing above built the Fraction matrix
+        assert repr(inst) == repr(ref)
+        assert inst.d == d and all(type(v) is Fraction for r in inst.d for v in r)
+        # One shared Fraction per distinct value.
+        assert len({id(v) for r in inst.d for v in r}) == len({v for r in d for v in r})
+        kinds.add(inst.bivalued_k() is not None)
+    assert kinds == {True, False}
+    with pytest.raises(AttributeError):
+        inst.n = 1
+    assert inst != Instance(((1,),)) and inst != d
 
 
 @pytest.mark.parametrize("text, error, line, col", [

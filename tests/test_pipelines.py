@@ -42,6 +42,7 @@ from conftest import (
     inst_i2,
     make_instance,
     rounded_fixture,
+    scale_rows,
 )
 
 
@@ -215,7 +216,7 @@ def test_pef1_ladder_is_verified(n, m, seeds, scaled):
     for seed in seeds:
         inst = generate_random(seed, n, m, UniformInt(1, 20))
         if scaled:
-            inst = inst.scale_rows([Fraction(rng.randint(1, 9), rng.randint(1, 9)) for _ in range(n)])
+            inst = scale_rows(inst, [Fraction(rng.randint(1, 9), rng.randint(1, 9)) for _ in range(n)])
         res = solve_2efx(inst)
         assert is_alpha_efx(inst, res.x, 2), seed
         if res.start is not None:
@@ -256,7 +257,7 @@ def _gate_starts(rng):
         dist = [UniformInt(1, 20), Bivalued(Fraction(2)), Bivalued(Fraction(5, 2))][case % 3]
         inst = generate_random(case, n, m, dist)
         if case % 4 == 3:
-            inst = inst.scale_rows([Fraction(rng.randint(1, 9), rng.randint(1, 9)) for _ in range(n)])
+            inst = scale_rows(inst, [Fraction(rng.randint(1, 9), rng.randint(1, 9)) for _ in range(n)])
         sol = search_pef1_mpb(inst)
         owners, p = list(sol.x.owners), list(sol.p)
         j = rng.randrange(m)
