@@ -78,22 +78,28 @@ def format_rational(x: Fraction) -> str:
     return str(x)
 
 
+def _scaled_row(row: Sequence[Fraction]) -> tuple:
+    """(row times s, s) for s the least common multiple of its denominators."""
+    scale = math.lcm(*[v.denominator for v in row])
+    return [v.numerator * (scale // v.denominator) for v in row], scale
+
+
 def integer_row(row: Sequence[Fraction]) -> list:
     """row times the least common multiple of its denominators."""
-    scale = math.lcm(*[v.denominator for v in row])
-    return [v.numerator * (scale // v.denominator) for v in row]
+    return _scaled_row(row)[0]
 
 
 def _scaled_rows(rows) -> tuple:
     """(integer rows, scales) of rows of ints and Fractions: each row
     times its scale, the lcm of its denominators, as a tuple."""
-    scales = tuple(math.lcm(*[v.denominator for v in row]) for row in rows)
-    return tuple(tuple(integer_row(row)) for row in rows), scales
+    pairs = [_scaled_row(row) for row in rows]
+    return tuple(tuple(row) for row, _ in pairs), tuple(s for _, s in pairs)
 
 
 _EXACT = (int, Fraction)
 
 
+@dataclass(frozen=True, init=False)
 class Instance:
     """A chore division instance: n agents, m chores, strictly positive
     disutility matrix d (n rows, m columns).
@@ -107,8 +113,11 @@ class Instance:
     is built on first use, one shared Fraction per distinct value.
 
     Two instances are equal iff their d are. d fixes the integer rows and
-    scales and they fix d, so equality and hash compare those and build
-    no d; repr shows d. Instances are immutable."""
+    scales and they fix d, so equality and hash compare those fields and
+    build no d; repr shows d. Instances are immutable."""
+
+    _rows: tuple
+    _scales: tuple
 
     def __init__(self, d):
         if len(d) < 1:
@@ -148,20 +157,6 @@ class Instance:
 
     def _init(self, rows: tuple, scales: tuple):
         self.__dict__.update(n=len(rows), m=len(rows[0]), _rows=rows, _scales=scales)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r} of a frozen Instance")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r} of a frozen Instance")
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._rows == other._rows and self._scales == other._scales
-
-    def __hash__(self):
-        return hash((self._rows, self._scales))
 
     def __repr__(self):
         return f"Instance(d={self.d!r})"
@@ -403,6 +398,8 @@ class Bivalued:
     k: Fraction
 
     def __post_init__(self):
+        if isinstance(self.k, bool) or not isinstance(self.k, _EXACT):
+            raise InvalidDistribution(f"need k to be an int or Fraction, got {self.k!r}")
         if self.k < 1:
             raise InvalidDistribution(f"need k >= 1, got {self.k}")
 
@@ -426,17 +423,13 @@ def parse_distribution(spec: str) -> Distribution:
 
 def generate_random(seed: int, n: int, m: int, dist: Distribution) -> Instance:
     """Deterministic random instance for a fixed (seed, n, m, dist): entries
-    drawn row by row, straight into integer rows. A Bivalued k of another
-    type than Fraction goes through `Instance(d)`, which checks it."""
+    drawn row by row, straight into integer rows."""
     rng = random.Random(seed)
     if isinstance(dist, UniformInt):
         rows = tuple(tuple([rng.randint(dist.lo, dist.hi) for _ in range(m)]) for _ in range(n))
         return Instance._from_rows(rows, (1,) * n)
     k = dist.k
     draws = [[rng.randint(0, 1) for _ in range(m)] for _ in range(n)]
-    if not isinstance(k, Fraction):
-        values = (Fraction(1), k)
-        return Instance(tuple(tuple([values[b] for b in row]) for row in draws))
     # k = a/b in lowest terms: a row holding k is (b, a) on scale b, any
     # other row is all ones on scale 1.
     on_k = (k.denominator, k.numerator)

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import math
 import random
@@ -109,6 +110,8 @@ def test_generate_random_deterministic():
 def test_generate_random_bivalued_support():
     inst = generate_random(7, 3, 4, Bivalued(Fraction(5)))
     assert all(v in (Fraction(1), Fraction(5)) for row in inst.d for v in row)
+    # An int k takes the same route and gives the same instance.
+    assert generate_random(7, 3, 4, Bivalued(5)) == inst
 
 
 def test_distribution_validation():
@@ -116,6 +119,9 @@ def test_distribution_validation():
         UniformInt(0, 5)
     with pytest.raises(InvalidDistribution):
         Bivalued(Fraction(1, 2))
+    for k in (2.5, True, "2"):
+        with pytest.raises(InvalidDistribution, match="int or Fraction"):
+            Bivalued(k)
     assert parse_distribution("uniform-int:1..10") == UniformInt(1, 10)
     assert parse_distribution("bivalued:4") == Bivalued(Fraction(4))
     with pytest.raises(InvalidDistribution):
@@ -320,7 +326,7 @@ def test_construction_routes_agree():
         assert len({id(v) for r in inst.d for v in r}) == len({v for r in d for v in r})
         kinds.add(inst.bivalued_k() is not None)
     assert kinds == {True, False}
-    with pytest.raises(AttributeError):
+    with pytest.raises(dataclasses.FrozenInstanceError):
         inst.n = 1
     assert inst != Instance(((1,),)) and inst != d
 
