@@ -30,8 +30,6 @@ from .framework import (
 )
 from .market import (
     InfeasibilityCycle,
-    RatioConstraint,
-    RatioConstraintSystem,
     is_mpb_allocation,
     mpb_price_feasibility,
     mpb_view,
@@ -54,9 +52,7 @@ from .model import (
     serialize_prices,
 )
 from .oracle import (
-    EnumerationCursor,
     best_efx_factor,
-    enumerate_allocations,
     generate_valid_certificate,
     verify_trace,
 )
@@ -75,15 +71,12 @@ from .pipelines import (
 __all__ = [
     "Allocation",
     "ChoreSwapError",
-    "EnumerationCursor",
     "ErRoundedInput",
     "FriendlyCertificate",
     "INFINITE",
     "InfeasibilityCycle",
     "Instance",
     "Pef1Solution",
-    "RatioConstraint",
-    "RatioConstraintSystem",
     "SolveResult",
     "SwapTrace",
     "allocation_from_bundles",
@@ -92,7 +85,6 @@ __all__ = [
     "chore_swap",
     "designated_chore",
     "efx_factor",
-    "enumerate_allocations",
     "envy_report",
     "generate_random",
     "generate_valid_certificate",

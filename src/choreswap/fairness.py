@@ -17,15 +17,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence, Union
 
-from .errors import PriceLengthMismatch
-from .model import INFINITE, Allocation, Instance, bundle_disutility, integer_row
+from .market import _integer_prices
+from .model import INFINITE, Allocation, Instance, bundle_disutility
 
 DEFAULT_BUDGET = 1 << 22
-
-
-def _require_prices(inst: Instance, p: Sequence[Fraction]):
-    if len(p) != inst.m:
-        raise PriceLengthMismatch(f"expected {inst.m} prices, got {len(p)}")
 
 
 def hat_d(inst: Instance, i: int, chores) -> Fraction:
@@ -127,10 +122,11 @@ def price_envy(P, X: Allocation, k: Optional[int]):
 
 
 def _price_envy(inst: Instance, X: Allocation, p: Sequence[Fraction], k: Optional[int]):
-    """price_envy of X under p rescaled to integers."""
-    _require_prices(inst, p)
+    """price_envy of X under p rescaled to positive integers; the price
+    length and signs are checked before the shape of X."""
+    P = _integer_prices(inst, p)
     X.check_shape(inst.n, inst.m)
-    return price_envy(integer_row(p), X, k)
+    return price_envy(P, X, k)
 
 
 def is_pefk(

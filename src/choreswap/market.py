@@ -1,12 +1,15 @@
 """Minimum-pain-per-buck machinery.
 
 MPB ratios and sets, MPB-allocation checking (an MPB allocation is fPO),
-and exact price feasibility for a given integral allocation via a
-multiplicative difference-constraint system over one scalar per agent.
+and exact price feasibility for a given integral allocation: one ratio
+edge per ordered pair of agents, built from the integer rows and solved
+for one scalar per agent by an integer Bellman-Ford. Prices are
+Fractions only where they cross the module boundary.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple, Union
@@ -84,50 +87,34 @@ def is_mpb_allocation(inst: Instance, X: Allocation, p: Sequence[Fraction]) -> b
 
 
 @dataclass(frozen=True)
-class RatioConstraint:
-    """value(u) <= c * value(v), with c a positive rational."""
-
-    u: int
-    v: int
-    c: Fraction
-
-    def __str__(self):
-        return f"x{self.u} <= {self.c} * x{self.v}"
-
-
-@dataclass(frozen=True)
-class RatioConstraintSystem:
-    num_vars: int
-    constraints: tuple
-
-
-@dataclass(frozen=True)
 class InfeasibilityCycle:
-    """Witness cycle of constraints whose coefficient product is < 1."""
+    """Witness cycle of edges (u, v, a, b), each x_u <= (a / b) * x_v,
+    whose coefficient product is < 1."""
 
-    constraints: tuple
+    edges: tuple
 
     @property
     def product(self) -> Fraction:
-        prod = Fraction(1)
-        for c in self.constraints:
-            prod *= c.c
-        return prod
+        num = math.prod(a for _, _, a, _ in self.edges)
+        return Fraction(num, math.prod(b for _, _, _, b in self.edges))
 
     def __str__(self):
-        chain = " ; ".join(str(c) for c in self.constraints)
+        chain = " ; ".join(f"x{u} <= {Fraction(a, b)} * x{v}" for u, v, a, b in self.edges)
         return f"cycle product {self.product} < 1: {chain}"
 
 
-def ratio_labels(n: int, edges: Sequence[tuple]):
-    """Integer Bellman-Ford core for x_u <= (num/den) * x_v, one edge
-    (u, v, num, den) each, relaxed in the given order.
+def solve_ratio_system(
+    n: int, edges: Sequence[tuple]
+) -> Union[List[Tuple[int, int]], InfeasibilityCycle]:
+    """Integer Bellman-Ford for x_u <= (a / b) * x_v over n variables, one
+    edge (u, v, a, b) with positive integers a, b each, relaxed in the
+    given order.
 
     Labels are unreduced integer pairs (num, den), den > 0, compared by
     cross-multiplication. Every label starts at 1 (a virtual source); a
     pass that changes nothing ends the search, and a relaxation surviving
     n passes exposes a cycle with product < 1, found through `pred`.
-    Returns (labels, None) or (None, indices of the cycle's edges).
+    Returns the labels, or the cycle's edges in order as a witness.
     """
     num, den = [1] * n, [1] * n
     pred: List[Optional[int]] = [None] * n
@@ -142,46 +129,14 @@ def ratio_labels(n: int, edges: Sequence[tuple]):
                         u = edges[pred[u]][1]
                     cycle, cur = [], u
                     while not cycle or cur != u:
-                        cycle.append(pred[cur])
+                        cycle.append(edges[pred[cur]])
                         cur = edges[pred[cur]][1]
-                    return None, cycle[::-1]
+                    return InfeasibilityCycle(tuple(cycle[::-1]))
                 num[u], den[u] = a * num[v], b * den[v]
                 changed = True
         if not changed:
             break
-    return list(zip(num, den)), None
-
-
-def solve_ratio_system(
-    sys: RatioConstraintSystem,
-) -> Union[List[Fraction], InfeasibilityCycle]:
-    """Positive assignment satisfying every constraint, or a witness cycle,
-    from `ratio_labels` over the constraints in sorted (u, v, c) order."""
-    cons = sorted(sys.constraints, key=lambda c: (c.u, c.v, c.c))
-    edges = [(c.u, c.v, c.c.numerator, c.c.denominator) for c in cons]
-    labels, cycle = ratio_labels(sys.num_vars, edges)
-    if cycle is not None:
-        return InfeasibilityCycle(tuple(cons[idx] for idx in cycle))
-    return [Fraction(a, b) for a, b in labels]
-
-
-def mpb_constraints(inst: Instance, bundles) -> List[RatioConstraint]:
-    """Cross-agent MPB inequalities reduced to agent scalars t_i.
-
-    With p_j = d_ij * t_i for j held by i, (X, p) is an MPB allocation
-    iff t_k <= (d_ij / d_kj) * t_i for every i and every j held by k.
-    One constraint per ordered pair, using the tightest chore.
-    """
-    cons = []
-    for k in range(inst.n):
-        if not bundles[k]:
-            continue
-        for i in range(inst.n):
-            if i == k:
-                continue
-            c = min(inst.d[i][j] / inst.d[k][j] for j in bundles[k])
-            cons.append(RatioConstraint(k, i, c))
-    return cons
+    return list(zip(num, den))
 
 
 def mpb_price_feasibility(
@@ -190,16 +145,30 @@ def mpb_price_feasibility(
     """Positive prices making (X, p) an MPB allocation, or a witness cycle.
 
     Within a bundle the MPB equalities pin relative prices to disutilities,
-    leaving one free scalar per agent; the cross-agent inequalities become
-    a RatioConstraintSystem solved exactly.
+    p_j = d_ij * t_i for j held by i, leaving one free scalar t_i per
+    agent. (X, p) is then MPB iff t_k <= (d_ij / d_kj) * t_i for every
+    i != k and every j held by k. One edge per ordered pair (k, i), in
+    k-major order, keeps the tightest such chore, found by `mpb_ratio` on
+    the integer rows: with s the row scales, d_ij / d_kj is
+    (rows[i][j] * s_k) / (rows[k][j] * s_i). `solve_ratio_system` solves
+    the edges exactly; only the returned prices are Fractions.
     """
     X.check_shape(inst.n, inst.m)
     bundles = X.bundles()
     for i, b in enumerate(bundles):
         if not b:
             raise EmptyBundle(i)
-    sys = RatioConstraintSystem(inst.n, tuple(mpb_constraints(inst, bundles)))
-    res = solve_ratio_system(sys)
+    rows, scales = inst.integer_rows(), inst.row_scales()
+    edges = []
+    for k, bundle in enumerate(bundles):
+        own = [rows[k][j] for j in bundle]
+        for i in range(inst.n):
+            if i != k:
+                a, b = mpb_ratio([rows[i][j] for j in bundle], own)
+                edges.append((k, i, a * scales[k], b * scales[i]))
+    res = solve_ratio_system(inst.n, edges)
     if isinstance(res, InfeasibilityCycle):
         return res
-    return tuple(inst.d[owner][j] * res[owner] for j, owner in enumerate(X.owners))
+    return tuple(
+        Fraction(rows[o][j] * res[o][0], scales[o] * res[o][1]) for j, o in enumerate(X.owners)
+    )

@@ -6,8 +6,8 @@ Instances, allocations and price vectors are immutable after
 construction and safe to share across threads. An instance holds its
 integer rows (each row times the lcm of its denominators) and those
 lcms; the parser and the generator build them straight from their
-input. Its Fraction matrix d and its bivalued ratio are built once
-each, on first use.
+input. Its Fraction matrix d, its rows on one common scale and its
+bivalued ratio are built once each, on first use.
 """
 
 from __future__ import annotations
@@ -193,11 +193,26 @@ class Instance:
         return self._scales
 
     @cached_property
-    def _bivalued_k(self) -> Optional[Fraction]:
+    def _common_rows(self) -> tuple:
         scale = math.lcm(*self._scales)
+        if scale == 1:
+            return self._rows
+        return tuple(
+            row if s == scale else tuple(v * (scale // s) for v in row)
+            for row, s in zip(self._rows, self._scales)
+        )
+
+    def common_rows(self) -> tuple:
+        """d times the lcm of the row scales: integer rows on one scale, so
+        the values of different agents compare. With every scale 1 they
+        are integer_rows() itself. Built once per instance."""
+        return self._common_rows
+
+    @cached_property
+    def _bivalued_k(self) -> Optional[Fraction]:
         values = set()
-        for row, s in zip(self._rows, self._scales):
-            values.update(row if s == scale else [v * (scale // s) for v in row])
+        for row in self.common_rows():
+            values.update(row)
             if len(values) > 2:
                 return None
         if len(values) < 2:
@@ -207,9 +222,8 @@ class Instance:
     def bivalued_k(self) -> Optional[Fraction]:
         """If all entries take at most two values {a, b}, return
         k = max(a,b)/min(a,b); otherwise None. The values are compared
-        as integers on the common scale, the lcm of the row scales, and
-        the scan stops after the first row that brings a third value. It
-        runs once per instance."""
+        on `common_rows`, and the scan stops after the first row that
+        brings a third value. It runs once per instance."""
         return self._bivalued_k
 
 

@@ -8,7 +8,7 @@ other. Budgets are allocation-count caps (default 2^22), not wall time.
 It cuts a branch only when a lower bound on the factor of every
 allocation below it already reaches the best factor found, so the
 minimum it returns is the one full enumeration gives; the tests keep
-the unpruned `EnumerationCursor` path as the reference for that claim.
+an unpruned walk over every owner vector as the reference for that claim.
 The visit order (costly chores first, cheapest owner first) only finds
 a good incumbent sooner: the result is the minimum value over all
 leaves, which does not depend on the order the leaves are visited in.
@@ -20,7 +20,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Optional, Tuple
+from typing import Tuple
 
 from .errors import (
     BudgetExceeded,
@@ -31,38 +31,6 @@ from .framework import FriendlyCertificate, SwapTrace
 from .model import INFINITE, Allocation, Instance, allocation_from_bundles
 
 DEFAULT_ORACLE_BUDGET = 1 << 22
-
-
-class EnumerationCursor:
-    """Owner vector as a base-n counter; yields every complete allocation
-    of m chores to n agents exactly once, lexicographically."""
-
-    def __init__(self, n: int, m: int):
-        self.n = n
-        self.m = m
-        self.owners: Optional[List[int]] = None
-
-    def __iter__(self):
-        return self
-
-    def __next__(self) -> tuple:
-        if self.owners is None:
-            self.owners = [0] * self.m
-            return tuple(self.owners)
-        pos = self.m - 1
-        while pos >= 0 and self.owners[pos] == self.n - 1:
-            self.owners[pos] = 0
-            pos -= 1
-        if pos < 0:
-            raise StopIteration
-        self.owners[pos] += 1
-        return tuple(self.owners)
-
-
-def enumerate_allocations(n: int, m: int):
-    """All n^m complete allocations in owner-vector lexicographic order."""
-    for owners in EnumerationCursor(n, m):
-        yield Allocation(n, owners)
 
 
 def best_efx_factor(inst: Instance, budget: int = DEFAULT_ORACLE_BUDGET):

@@ -59,26 +59,13 @@ def _trivial_trace(inst: Instance, X: Allocation, lam: Fraction, mode: str) -> S
     return t
 
 
-def _common_rows(inst: Instance):
-    """d times the lcm of all its denominators: integer rows on one scale,
-    so the values of different agents compare. Row i of the integer rows
-    is d[i] times its scale s_i; with every s_i = 1 they are the common
-    rows."""
-    rows = inst.integer_rows()
-    scales = inst.row_scales()
-    scale = math.lcm(*scales)
-    if scale == 1:
-        return rows
-    return [[v * (scale // s) for v in r] for r, s in zip(rows, scales)]
-
-
 def search_pef1_mpb(inst: Instance) -> Pef1Solution:
     """A pEF1+MPB allocation with its prices, from the price-lowering
     market loop for chores (Garg, Murhekar and Qin, AAAI 2022).
 
-    Prices are integers on the scale of `_common_rows`, and agent i's MPB
-    chores are those attaining `mpb_ratio`. Every step keeps each chore
-    MPB for its owner:
+    Prices are integers on the scale of `Instance.common_rows`, and agent
+    i's MPB chores are those attaining `mpb_ratio`. Every step keeps each
+    chore MPB for its owner:
 
     - Start: chore j goes to the lowest-index agent with the least value
       for it, priced at that value.
@@ -105,7 +92,7 @@ def search_pef1_mpb(inst: Instance) -> Pef1Solution:
     Prices are normalized so the least is 1.
     """
     n, m = inst.n, inst.m
-    rows = _common_rows(inst)
+    rows = inst.common_rows()
     owners = [col.index(min(col)) for col in zip(*rows)]
     price = [rows[o][j] for j, o in enumerate(owners)]
     earn = [0] * n
@@ -337,9 +324,10 @@ def validate_rounded_er(
     conventions. Violations are data, not errors; an allocation of another
     shape than inst raises."""
     X.check_shape(inst.n, inst.m)
-    violations: List[str] = []
     if len(p) != inst.m:
-        violations.append("price vector length mismatch")
+        return None, ["price vector length mismatch"]
+    violations = [f"price p_{j + 1} = {v} is not positive" for j, v in enumerate(p) if v <= 0]
+    if violations:
         return None, violations
     h_set = frozenset(j for j in range(inst.m) if p[j] > HALF)
     bundles = X.bundles()

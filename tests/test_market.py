@@ -8,10 +8,10 @@ from choreswap import (
     Allocation,
     Instance,
     InfeasibilityCycle,
-    RatioConstraint,
-    RatioConstraintSystem,
     generate_random,
     is_mpb_allocation,
+    is_pefk,
+    is_pefx,
     is_po_bruteforce,
     mpb_price_feasibility,
     mpb_view,
@@ -54,10 +54,15 @@ def test_mpb_view_length_check():
 @pytest.mark.parametrize("bad", [Fraction(0), Fraction(-1)])
 def test_non_positive_price_is_rejected(bad):
     inst = Instance(((1, 2),))
+    X = Allocation(1, (0, 0))
     with pytest.raises(NonPositivePrice):
-        is_mpb_allocation(inst, Allocation(1, (0, 0)), (bad, Fraction(1)))
+        is_mpb_allocation(inst, X, (bad, Fraction(1)))
     with pytest.raises(NonPositivePrice):
         mpb_view(inst, (Fraction(1), bad))
+    with pytest.raises(NonPositivePrice):
+        is_pefk(inst, X, (bad, Fraction(1)), Fraction(1), 1)
+    with pytest.raises(NonPositivePrice):
+        is_pefx(inst, X, (Fraction(1), bad), Fraction(1))
 
 
 def test_is_mpb_allocation_examples():
@@ -93,22 +98,19 @@ def test_mpb_price_feasibility_empty_bundle():
 
 
 def test_solve_ratio_system_examples():
-    half = Fraction(1, 2)
-    sys_ok = RatioConstraintSystem(
-        2, (RatioConstraint(0, 1, Fraction(2)), RatioConstraint(1, 0, Fraction(2)))
-    )
-    labels = solve_ratio_system(sys_ok)
-    assert labels[0] <= 2 * labels[1] and labels[1] <= 2 * labels[0]
+    # x0 <= 2 * x1 and x1 <= 2 * x0: feasible, labels are (num, den) pairs.
+    labels = solve_ratio_system(2, [(0, 1, 2, 1), (1, 0, 4, 2)])
+    (a0, b0), (a1, b1) = labels
+    assert a0 * b1 <= 2 * a1 * b0 and a1 * b0 <= 2 * a0 * b1
 
-    sys_bad = RatioConstraintSystem(
-        2, (RatioConstraint(0, 1, half), RatioConstraint(1, 0, half))
-    )
-    cyc = solve_ratio_system(sys_bad)
+    # Unreduced halves: the witness keeps the edges as given.
+    cyc = solve_ratio_system(2, [(0, 1, 1, 2), (1, 0, 2, 4)])
     assert isinstance(cyc, InfeasibilityCycle)
     assert cyc.product == Fraction(1, 4)
+    assert cyc.edges == ((1, 0, 2, 4), (0, 1, 1, 2))
+    assert str(cyc) == "cycle product 1/4 < 1: x1 <= 1/2 * x0 ; x0 <= 1/2 * x1"
 
-    empty = RatioConstraintSystem(3, ())
-    assert solve_ratio_system(empty) == [Fraction(1)] * 3
+    assert solve_ratio_system(3, []) == [(1, 1)] * 3
 
 
 def test_round_trip_certification_fuzz():
@@ -148,8 +150,9 @@ RATIO_SYSTEM_DIGEST = "20a47e429e7a4a9f98a6a923e9bc12ab8ee44e0335832f4ba4bb1c63c
 
 
 def _random_ratio_system(rng):
-    """Up to 3n constraints with fractional coefficients; about a third
-    repeat an earlier (u, v) pair with a new coefficient."""
+    """Up to 3n edges with fractional coefficients, as (u, v, num, den) in
+    sorted (u, v, coefficient) order; about a third repeat an earlier
+    (u, v) pair with a new coefficient."""
     n = rng.randint(1, 5)
     cons = []
     for _ in range(rng.randint(0, 3 * n)):
@@ -158,7 +161,7 @@ def _random_ratio_system(rng):
         else:
             u, v = rng.randrange(n), rng.randrange(n)
         cons.append((u, v, Fraction(rng.randint(1, 9), rng.randint(1, 9))))
-    return RatioConstraintSystem(n, tuple(RatioConstraint(*c) for c in cons))
+    return n, [(u, v, c.numerator, c.denominator) for u, v, c in sorted(cons)]
 
 
 def test_solve_ratio_system_witness_digest():
@@ -166,24 +169,77 @@ def test_solve_ratio_system_witness_digest():
     h = hashlib.sha256()
     feasible = infeasible = 0
     for _ in range(500):
-        sys_ = _random_ratio_system(rng)
-        res = solve_ratio_system(sys_)
+        n, edges = _random_ratio_system(rng)
+        res = solve_ratio_system(n, edges)
         if isinstance(res, InfeasibilityCycle):
             infeasible += 1
-            cyc = res.constraints
-            assert all(c in sys_.constraints for c in cyc)
+            cyc = res.edges
+            assert all(e in edges for e in cyc)
             # Closed: each edge's v is the previous edge's u, around the cycle.
-            assert all(cyc[t].v == cyc[t - 1].u for t in range(len(cyc)))
+            assert all(cyc[t][1] == cyc[t - 1][0] for t in range(len(cyc)))
             assert res.product < 1
-            out = ("cycle", [(c.u, c.v, str(c.c)) for c in cyc])
+            out = ("cycle", [(u, v, str(Fraction(a, b))) for u, v, a, b in cyc])
         else:
             feasible += 1
-            assert all(x > 0 for x in res)
-            assert all(res[c.u] <= c.c * res[c.v] for c in sys_.constraints)
-            out = ("labels", [str(x) for x in res])
+            x = [Fraction(a, b) for a, b in res]
+            assert all(v > 0 for v in x)
+            assert all(x[u] <= Fraction(a, b) * x[v] for u, v, a, b in edges)
+            out = ("labels", [str(v) for v in x])
         h.update(repr(out).encode())
     assert feasible > 100 and infeasible > 100
     assert h.hexdigest() == RATIO_SYSTEM_DIGEST
+
+
+# Prices or witness cycles (text and product) of mpb_price_feasibility on
+# 3,000 seeded (instance, allocation) pairs, as the Fraction constraint
+# layer computed them before the integer edges replaced it.
+PRICE_FEASIBILITY_DIGEST = "e5af02a685b6b4e915dcf8aef909b06419223c056ba4342d74f6e5bfec947866"
+
+
+def _random_feasibility_case(rng, trial):
+    """Fractional, bivalued or uniform-int rows in turn; every bundle is
+    nonempty, and in about half the cases chores move to their cheapest
+    agent, so both outcomes are common."""
+    n = rng.randint(1, 4)
+    m = rng.randint(n, 7)
+    kind = trial % 3
+    if kind == 0:
+        d = [[Fraction(rng.randint(1, 6), rng.randint(1, 4)) for _ in range(m)]
+             for _ in range(n)]
+    elif kind == 1:
+        a = Fraction(rng.randint(1, 3), rng.randint(1, 3))
+        k = rng.choice((Fraction(2), Fraction(3), Fraction(5, 2)))
+        d = [[a * k if rng.random() < 0.5 else a for _ in range(m)] for _ in range(n)]
+    else:
+        d = [[rng.randint(1, 12) for _ in range(m)] for _ in range(n)]
+    owners = list(range(n)) + [rng.randrange(n) for _ in range(m - n)]
+    rng.shuffle(owners)
+    if rng.random() < 0.5:
+        cols = list(zip(*d))
+        for j in range(m):
+            cheap = cols[j].index(min(cols[j]))
+            if owners.count(owners[j]) > 1 and rng.random() < 0.7:
+                owners[j] = cheap
+    return Instance(tuple(map(tuple, d))), Allocation(n, tuple(owners))
+
+
+def test_mpb_price_feasibility_digest():
+    rng = random.Random(101)
+    h = hashlib.sha256()
+    outcomes = {"prices": 0, "cycle": 0}
+    for trial in range(3000):
+        inst, x = _random_feasibility_case(rng, trial)
+        res = mpb_price_feasibility(inst, x)
+        if isinstance(res, InfeasibilityCycle):
+            assert res.product < 1
+            out = ("cycle", str(res), str(res.product))
+        else:
+            assert is_mpb_allocation(inst, x, res)
+            out = ("prices", [str(v) for v in res])
+        outcomes[out[0]] += 1
+        h.update(repr(out).encode())
+    assert min(outcomes.values()) >= 500
+    assert h.hexdigest() == PRICE_FEASIBILITY_DIGEST
 
 
 def test_mpb_view_matches_definition():

@@ -411,6 +411,18 @@ def test_bivalued_k_scans_once():
     assert Instance(((1, 2), (2, 3))).bivalued_k() is None
 
 
+def test_common_rows():
+    # Every scale 1: the integer rows themselves, not a copy.
+    ints = Instance(((1, 3, 3), (3, 1, 1)))
+    assert ints.common_rows() is ints.integer_rows()
+    # Scales 2 and 3 meet at 6; a row already at that scale is kept.
+    inst = parse_instance("3 2\n1/2 1\n1/3 2/3\n1/6 5/6\n")
+    assert inst.row_scales() == (2, 3, 6)
+    assert inst.common_rows() == ((3, 6), (2, 4), (1, 5))
+    assert inst.common_rows()[2] is inst.integer_rows()[2]
+    assert inst.common_rows() is inst.common_rows()
+
+
 GENERATED_DIGEST = "6f4220851739e374a8e738ac83d68e01a505ff248b9c983c63a29a33fcd4c15a"
 
 

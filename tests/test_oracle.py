@@ -1,3 +1,4 @@
+import itertools
 import random
 from dataclasses import replace
 from fractions import Fraction
@@ -7,11 +8,9 @@ import pytest
 from choreswap import (
     INFINITE,
     Allocation,
-    EnumerationCursor,
     FriendlyCertificate,
     Instance,
     best_efx_factor,
-    enumerate_allocations,
     generate_random,
     generate_valid_certificate,
     run_framework,
@@ -28,19 +27,6 @@ from choreswap.pipelines import _round_robin_two_phase, search_pef1_mpb
 from conftest import inst_i1, make_instance
 
 
-def test_enumeration_completeness():
-    seen = list(EnumerationCursor(3, 4))
-    assert len(seen) == 3**4
-    assert len(set(seen)) == 3**4
-    assert seen == sorted(seen)
-    assert seen[0] == (0, 0, 0, 0) and seen[-1] == (2, 2, 2, 2)
-
-
-def test_enumerate_allocations_yields_allocations():
-    allocs = list(enumerate_allocations(2, 2))
-    assert [a.owners for a in allocs] == [(0, 0), (0, 1), (1, 0), (1, 1)]
-
-
 def test_best_efx_factor_examples():
     assert best_efx_factor(make_instance([[4], [9]])) == 0
     ones = make_instance([[1, 1, 1], [1, 1, 1]])
@@ -54,11 +40,11 @@ def test_best_efx_factor_budget():
 
 
 def _unpruned_best_efx_factor(inst):
-    """Minimum factor over every allocation from EnumerationCursor, with
+    """Minimum factor over every owner vector, in lexicographic order, with
     the oracle's own Fraction sums and no pruning."""
     best = INFINITE
-    for alloc in enumerate_allocations(inst.n, inst.m):
-        bundles = alloc.bundles()
+    for owners in itertools.product(range(inst.n), repeat=inst.m):
+        bundles = Allocation(inst.n, owners).bundles()
         worst = Fraction(0)
         for i in range(inst.n):
             num = _hat(inst, i, bundles[i])

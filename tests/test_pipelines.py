@@ -414,6 +414,21 @@ def test_validate_rounded_er_singletons_valid():
     assert rounded.h_set == frozenset({0, 2})
 
 
+def test_validate_rounded_er_reports_non_positive_prices():
+    # Returned as violations, as a length mismatch is, before the MPB test
+    # (which would raise NonPositivePrice).
+    inst = make_instance([[1, 1, 1], [1, 1, 1]])
+    p = (HALF, Fraction(0), Fraction(-1, 2))
+    assert validate_rounded_er(inst, Allocation(2, (0, 0, 1)), p) == (
+        None,
+        ["price p_2 = 0 is not positive", "price p_3 = -1/2 is not positive"],
+    )
+    assert validate_rounded_er(inst, Allocation(2, (0, 0, 1)), p[:2]) == (
+        None,
+        ["price vector length mismatch"],
+    )
+
+
 def test_validate_rounded_er_property_i():
     p = (Fraction(3, 4),) * 3 + (HALF,)
     owners = (0, 0, 0, 1)
