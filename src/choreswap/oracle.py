@@ -9,6 +9,12 @@ It cuts a branch only when a lower bound on the factor of every
 allocation below it already reaches the best factor found, so the
 minimum it returns is the one full enumeration gives; the tests keep
 an unpruned walk over every owner vector as the reference for that claim.
+Each bound is one agent's current bundle value less its least chore
+(which never shrinks) over an upper bound on its final least rival
+bundle: (a) the cheapest rival given every chore left, (b) the average
+of all rivals, (c) the (left+1)-th cheapest rival when `left` chores
+remain, and (d) the average of the k cheapest rivals given every chore
+left. The docstring of `best_efx_factor` gives the argument for each.
 The visit order (costly chores first, cheapest owner first) only finds
 a good incumbent sooner: the result is the minimum value over all
 leaves, which does not depend on the order the leaves are visited in.
@@ -54,16 +60,32 @@ def best_efx_factor(inst: Instance, budget: int = DEFAULT_ORACLE_BUDGET):
     The pruning keeps the result exact. Agent i's final ratio is
     hat_i / min_h cross_i[h]. Its numerator hat_i (bundle sum minus
     bundle minimum) never shrinks as chores join i's bundle, and the
-    chores still unassigned can add at most rem[i] to i's value of the
-    rival bundles: to one of them, or to their total. So every leaf below
-    a node has a factor of at least
-        (a) hat_i / (cross_i[h] + rem[i])           for each h != i, and
-        (b) hat_i * (n-1) / (sum_{h!=i} cross_i[h] + rem[i]),
-    (b) because the smallest final rival sum is at most their average.
-    A branch where either bound already reaches the incumbent holds no
-    leaf strictly below it, and only a strictly smaller leaf replaces
-    the incumbent. At a leaf rem[i] == 0 and (a) over the smallest rival
-    is i's exact ratio.
+    chores still unassigned can add at most rem[i] in all to i's values
+    of the rival bundles. With s_1 <= ... <= s_{n-1} agent i's current
+    rival sums, S_k = s_1 + ... + s_k, and `left` chores unassigned,
+    every leaf below a node has a factor of at least
+        (a) hat_i / (s_1 + rem[i]),
+        (b) hat_i * (n-1) / (tot[i] - cross_i[i]),
+        (c) hat_i / s_{left+1}                      when left < n-1,
+        (d) hat_i * k / (S_k + rem[i])              for 1 < k < n-1,
+    because the final least rival sum is at most
+        (a) the cheapest rival's sum once it gets every chore left;
+        (b) the average of all n-1 final rival sums, S_{n-1} + rem[i]
+            over n-1, where S_{n-1} + rem[i] = tot[i] - cross_i[i] as
+            agent i's values of all chores sum to tot[i] (so (b) needs
+            no rival sums at all);
+        (c) the (left+1)-th cheapest rival's sum: `left` chores reach at
+            most `left` of the left+1 cheapest rivals, so one of them
+            ends with its current sum, which is at most s_{left+1};
+        (d) the average of the k cheapest rivals' final sums, which
+            together gain at most rem[i]; (a) is k = 1 and (b) is
+            k = n-1.
+    A branch where any bound already reaches the incumbent holds no leaf
+    strictly below it, and only a strictly smaller leaf replaces the
+    incumbent. Only the agent that receives a chore gets a larger
+    numerator, so its bounds are tested before the child is entered; the
+    other agents' bounds tighten as rem falls, so the child tests them.
+    At a leaf rem[i] == 0 and hat_i / s_1 is i's exact ratio.
     """
     n, m = inst.n, inst.m
     if n**m > budget:
@@ -77,42 +99,69 @@ def best_efx_factor(inst: Instance, budget: int = DEFAULT_ORACLE_BUDGET):
     order = sorted(range(m), key=lambda j: -sum(shares[j]))
     cols = [[rows[i][j] for i in range(n)] for j in order]
     owners = [sorted(range(n), key=shares[j].__getitem__) for j in order]
+    # rest[j][i]: agent i's value of the chores from position j on, the
+    # rem[i] of every node at depth j.
+    rest = [tot]
+    for col in cols:
+        rest.append([r - c for r, c in zip(rest[-1], col)])
     # cross[i][h]: agent i's value of agent h's current bundle.
     cross = [[0] * n for _ in range(n)]
     minv = [0] * n  # own-row minimum within the own bundle
     cnt = [0] * n
-    rem = list(tot)  # own value of the unassigned chores
     rivals = n - 1
     # Incumbent as (num, den); (1, 0) means none yet. Only an infinite
     # bound reaches it, and infinite leaves are never the minimum.
     best_num, best_den = 1, 0
 
-    def dfs(j: int):
+    def cut(i: int, j: int) -> bool:
+        """Whether a bound of agent i (holding two chores or more) reaches
+        the incumbent at depth j. Values are positive, so hat_i > 0."""
+        row = cross[i]
+        own = row[i]
+        num = (own - minv[i]) * best_den  # hat_i, on the incumbent's denominator
+        if num * rivals >= best_num * (tot[i] - own):
+            return True  # (b)
+        s = sorted(row)
+        s.remove(own)  # the rival sums, least first
+        rem = rest[j][i]
+        least = s[0]
+        if num >= best_num * (least + rem):
+            return True  # (a)
+        left = m - j
+        if left < rivals and num >= best_num * s[left]:
+            return True  # (c)
+        for k in range(2, rivals):
+            least += s[k - 1]
+            if num * k >= best_num * (least + rem):
+                return True  # (d)
+        return False
+
+    def dfs(j: int, got: int):
+        # `got` received chore j - 1 and passed `cut` already (-1 at the root).
         nonlocal best_num, best_den
         if best_num == 0:
             return
-        worst_num, worst_den = 0, 1  # largest bound (a): at a leaf, the factor
-        for i in range(n):
-            if cnt[i] < 2:
-                continue
-            row = cross[i]
-            num = row[i] - minv[i]
-            if num == 0:
-                continue
-            others = row[:i] + row[i + 1 :]
-            den = min(others) + rem[i]
-            if num * best_den >= best_num * den:
-                return  # (a)
-            if num * rivals * best_den >= best_num * (sum(others) + rem[i]):
-                return  # (b)
-            if num * worst_den > worst_num * den:
-                worst_num, worst_den = num, den
         if j == m:
+            worst_num, worst_den = 0, 1  # the leaf's factor
+            for i in range(n):
+                if cnt[i] < 2:
+                    continue
+                row = cross[i]
+                own = row[i]
+                num = own - minv[i]
+                den = min(row)
+                if den == own:  # the least rival sum is the second least
+                    den = sorted(row)[1]
+                if num * best_den >= best_num * den:
+                    return
+                if num * worst_den > worst_num * den:
+                    worst_num, worst_den = num, den
             best_num, best_den = worst_num, worst_den
             return
-        col = cols[j]
         for i in range(n):
-            rem[i] -= col[i]
+            if i != got and cnt[i] >= 2 and cut(i, j):
+                return
+        col = cols[j]
         for a in owners[j]:
             w = col[a]
             for i in range(n):
@@ -121,15 +170,14 @@ def best_efx_factor(inst: Instance, budget: int = DEFAULT_ORACLE_BUDGET):
             if cnt[a] == 0 or w < saved_min:
                 minv[a] = w
             cnt[a] += 1
-            dfs(j + 1)
+            if cnt[a] < 2 or not cut(a, j + 1):
+                dfs(j + 1, a)
             cnt[a] -= 1
             minv[a] = saved_min
             for i in range(n):
                 cross[i][a] -= col[i]
-        for i in range(n):
-            rem[i] += col[i]
 
-    dfs(0)
+    dfs(0, -1)
     if best_den == 0:
         return INFINITE
     return Fraction(best_num, best_den)

@@ -167,9 +167,13 @@ def _price_split(X: Allocation, P) -> Tuple[int, List[int]]:
     """The least earning rho and, per bundle, its highest price, both on
     the scale of the integer prices P: what both certificate rules read
     to put agents in N_H."""
-    bundles = X.bundles()
-    rho = min(sum(P[j] for j in b) for b in bundles)
-    return rho, [max(P[j] for j in b) for b in bundles]
+    earn = [0] * X.n
+    top = [0] * X.n
+    for p, o in zip(P, X.owners):
+        earn[o] += p
+        if p > top[o]:
+            top[o] = p
+    return min(earn), top
 
 
 def certificate_from_pef1(inst: Instance, sol: Pef1Solution) -> FriendlyCertificate:
@@ -193,7 +197,7 @@ def solve_2efx(inst: Instance) -> SolveResult:
     """pEF1+MPB market start, certificate construction, swap framework.
     The output is always verified 2-EFX."""
     sol = search_pef1_mpb(inst)
-    if any(not b for b in sol.x.bundles()):
+    if len(set(sol.x.owners)) < inst.n:
         # Only reachable when m < n: the pEF1 prices force singleton
         # bundles, which are exactly EFX already.
         trace = _trivial_trace(inst, sol.x, Fraction(2), "strict")

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 from dataclasses import replace
@@ -41,33 +42,42 @@ def test_best_efx_factor_budget():
 
 def _unpruned_best_efx_factor(inst):
     """Minimum factor over every owner vector, in lexicographic order, with
-    the oracle's own Fraction sums and no pruning."""
+    the oracle's own Fraction sums and no pruning. The sums and hats are
+    tabulated first for every agent and chore subset (a bit mask)."""
+    n, m = inst.n, inst.m
+    subsets = [[j for j in range(m) if mask >> j & 1] for mask in range(1 << m)]
+    total = [[_bundle_sum(inst, i, b) for b in subsets] for i in range(n)]
+    hat = [[_hat(inst, i, b) for b in subsets] for i in range(n)]
     best = INFINITE
-    for owners in itertools.product(range(inst.n), repeat=inst.m):
-        bundles = Allocation(inst.n, owners).bundles()
+    for owners in itertools.product(range(n), repeat=m):
+        masks = [0] * n
+        for j, o in enumerate(owners):
+            masks[o] |= 1 << j
         worst = Fraction(0)
-        for i in range(inst.n):
-            num = _hat(inst, i, bundles[i])
-            if num == 0:
+        for i in range(n):
+            num = hat[i][masks[i]]
+            dens = [total[i][masks[h]] for h in range(n) if h != i]
+            if num == 0 or not dens:
                 continue
-            for h in range(inst.n):
-                if h == i:
-                    continue
-                den = _bundle_sum(inst, i, bundles[h])
-                worst = max(worst, INFINITE if den == 0 else num / den)
+            den = min(dens)
+            worst = max(worst, INFINITE if den == 0 else num / den)
         best = min(best, worst)
     return best
 
 
 def test_best_efx_factor_matches_unpruned_enumeration():
     # Bivalued rows give many tied ratios; fractional row factors keep the
-    # oracle's integer rescaling honest.
+    # oracle's integer rescaling honest. The last 20 trials, 4x6 and 5x5,
+    # reach the count cut (c) and the water-level cut (d) often.
     rng = random.Random(41)
     m_max = {1: 8, 2: 8, 3: 6, 4: 5}
     dists = [UniformInt(1, 20), Bivalued(Fraction(2)), Bivalued(Fraction(3))]
-    for trial in range(300):
-        n = rng.randint(1, 4)
-        m = rng.randint(1, m_max[n])
+    for trial, shape in enumerate([None] * 300 + [(4, 6), (5, 5)] * 10):
+        if shape is None:
+            n = rng.randint(1, 4)
+            m = rng.randint(1, m_max[n])
+        else:
+            n, m = shape
         inst = generate_random(rng.randrange(1 << 30), n, m, rng.choice(dists))
         if trial % 2:
             scales = [Fraction(rng.randint(1, 9), rng.randint(1, 9)) for _ in range(n)]
@@ -75,6 +85,38 @@ def test_best_efx_factor_matches_unpruned_enumeration():
                 tuple(tuple(v * s for v in row) for row, s in zip(inst.d, scales))
             )
         assert best_efx_factor(inst) == _unpruned_best_efx_factor(inst), (trial, inst.d)
+
+
+# best_efx_factor on 420 seeded instances, as the branch and bound with
+# only cuts (a) and (b) computed it: str() of each verdict, one a line.
+ORACLE_DIGEST = "845af1905ecaefd60392e392f9e961816ef42943c02c691f6f9ae870bbc0373e"
+
+# All shapes but 4x2 reach the count cut (c), and 4x6..4x9, 5x6 and 5x7
+# the water-level cut (d); the last four have m < n - 1.
+_DIGEST_SHAPES = (
+    (4, 6), (4, 7), (4, 8), (4, 9), (3, 8), (3, 9), (5, 5),
+    (5, 6), (5, 7), (6, 6), (4, 2), (5, 3), (6, 4), (6, 3),
+)
+
+
+def _random_oracle_case(rng, trial):
+    """Uniform 1..20 or 1..3, or bivalued 2 or 5/2 rows; every third
+    instance has fractional row factors."""
+    n, m = _DIGEST_SHAPES[trial % len(_DIGEST_SHAPES)]
+    dists = (UniformInt(1, 20), UniformInt(1, 3), Bivalued(Fraction(2)), Bivalued(Fraction(5, 2)))
+    inst = generate_random(rng.randrange(1 << 30), n, m, rng.choice(dists))
+    if trial % 3 == 2:
+        scales = [Fraction(rng.randint(1, 9), rng.randint(1, 9)) for _ in range(n)]
+        inst = Instance(tuple(tuple(v * s for v in row) for row, s in zip(inst.d, scales)))
+    return inst
+
+
+def test_best_efx_factor_digest():
+    rng = random.Random(47)
+    h = hashlib.sha256()
+    for trial in range(420):
+        h.update(f"{best_efx_factor(_random_oracle_case(rng, trial))}\n".encode())
+    assert h.hexdigest() == ORACLE_DIGEST
 
 
 def _permuted(inst, agents, chores):
