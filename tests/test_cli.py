@@ -1,3 +1,4 @@
+import hashlib
 import os
 import re
 import subprocess
@@ -421,3 +422,56 @@ def test_python_m_choreswap_runs_gen(capsys):
     )
     assert (proc.returncode, proc.stderr) == (0, "")
     assert proc.stdout == capsys.readouterr().out
+
+
+# A fractional file with three values and m > 2n, so auto routes it to pef1.
+FRAC = "2 5\n1/2 3/4 2 5/3 1\n2 1/3 7/4 1 5/2\n"
+PROPS = "efx:2,efx:1/2,efk:1:1,efk:1/3:0,pefk:1:1,pefk:1/2:1,pefx:1,mpb,po,cert:2:strict,cert:1:weak"
+# sha256 of the lines test_cli_output_digest collects.
+CLI_DIGEST = "1a25df6ae24f4766539a78bd5e81bc2a8b49081da984109666f80b6512cb4f6e"
+
+
+def test_cli_output_digest(tmp_path, capsys):
+    # Pins what solve --verify, check --report and bench print, with their
+    # exit codes, over uniform, bivalued and fractional files: the CSV
+    # rows (ms masked), each check line, the envy report and every error
+    # line. The prices are each chore's value to its owner, the N_H file
+    # names agent 1.
+    corpus, work = tmp_path / "corpus", tmp_path / "work"
+    for args in (("2", "6", "9", "uniform-int:1..20"), ("3", "5", "13", "uniform-int:1..20"),
+                 ("2", "6", "1", "bivalued:3"), ("3", "7", "5", "bivalued:5/2")):
+        n, m, seed, dist = args
+        assert main(["gen", "--n", n, "--m", m, "--seed", seed, "--count", "2",
+                     "--dist", dist, "--out", str(corpus)]) == 0
+    write(corpus, "frac.txt", FRAC)
+    work.mkdir()
+    cert = write(work, "nh", "1\n")
+    lines = []
+
+    def run(*args):
+        code = main([str(a) for a in args])
+        captured = capsys.readouterr()
+        out = captured.out
+        if args[0] != "check":
+            out = re.sub(r",[0-9.]+,(?=[^,\n]*$)", ",MS,", out, flags=re.M)
+        lines.extend([f"{args[0]} exit {code}", out, captured.err])
+        return code
+
+    capsys.readouterr()
+    for path in sorted(corpus.glob("*.txt")):
+        inst = choreswap.parse_instance(path.read_text())
+        alloc = work / f"{path.stem}.alloc"
+        assert run("solve", path, "--verify", "--out", alloc) == 0
+        x = choreswap.parse_allocation(alloc.read_text(), inst.n, inst.m)
+        prices = write(work, f"{path.stem}.prices", choreswap.serialize_prices(
+            [inst.d[o][j] for j, o in enumerate(x.owners)]))
+        run("check", path, "--alloc", alloc, "--prices", prices, "--cert", cert,
+            "--props", PROPS, "--report")
+        run("check", path, "--alloc", alloc, "--props", "efx:2,mpb")
+        run("solve", path, "--method", "small-m")
+        run("solve", path, "--method", "bivalued")
+        run("solve", path, "--method", "er4")
+    run("bench", corpus, "--methods", "auto,pef1", "--verify")
+    text = "\n".join(lines).replace(str(tmp_path), "TMP")
+    assert {"exit 0", "exit 1", "exit 2"} <= {ln[-6:] for ln in lines}
+    assert hashlib.sha256(text.encode()).hexdigest() == CLI_DIGEST, text
