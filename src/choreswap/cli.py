@@ -1,9 +1,10 @@
 """Command line interface: gen, solve, check, bench.
 
 Exit codes: 0 success, 1 usage or IO or input-validation error (for
-bench also a case that failed without a finding), 2 a postcondition
-failure or a reportable finding (always with the trace or witness
-dumped to stderr).
+bench also a case that failed without a finding), 2 a reportable
+finding: an `errors.Finding` such as a failed postcondition (dumped to
+stderr, with the trace when it carries one), or a property that
+`check` finds false (with the witness, for po).
 
 Every factor printed in a report is recomputed by the independent
 checker; a solver/checker disagreement aborts with exit 2. Decimal
@@ -20,13 +21,10 @@ from pathlib import Path
 from typing import List, Optional
 
 from .errors import (
-    CertificateInvalid,
     ChoreSwapError,
-    CouplingUnsatisfiable,
-    InvariantViolation,
+    Finding,
     NotBivalued,
     PostconditionViolated,
-    RhoNotLessThanK,
     RoundedInputInvalid,
     TooManyChores,
     TraceMismatch,
@@ -74,18 +72,6 @@ EXIT_FINDING = 2
 
 METHODS = ("auto", "pef1", "bivalued", "small-m", "er4")
 BUDGET_HELP = "allocations the brute-force PO check may walk, and couplings er4 may try"
-
-# Reportable findings, exit 2: a failed postcondition, a start that fails
-# its gate, a certificate a pipeline built that does not validate, or an
-# input that contradicts a derivation the pipeline relies on.
-FINDINGS = (
-    PostconditionViolated,
-    InvariantViolation,
-    CertificateInvalid,
-    RhoNotLessThanK,
-    CouplingUnsatisfiable,
-)
-
 
 class _Parser(argparse.ArgumentParser):
     """argparse exits 2 on usage errors; this surface reserves 2 for
@@ -240,7 +226,7 @@ def cmd_solve(args) -> int:
         if e.trace is not None:
             sys.stderr.write(e.trace.to_log())
         return EXIT_FINDING
-    except FINDINGS as e:
+    except Finding as e:
         print(f"solve: finding: {e}", file=sys.stderr)
         return EXIT_FINDING
     except (NotBivalued, TooManyChores, RoundedInputInvalid) as e:
@@ -324,7 +310,7 @@ def cmd_check(args) -> int:
         print(f"{'PASS' if ok else 'FAIL'} {prop}{suffix}")
         all_ok = all_ok and ok
     if args.report:
-        sys.stdout.write(envy_report(inst, X).to_csv())
+        sys.stdout.write(envy_report(inst, X))
     return EXIT_OK if all_ok else EXIT_FINDING
 
 
@@ -362,7 +348,7 @@ def cmd_bench(args) -> int:
                     worst = f
                 swap_total += res.trace.swap_count
             except ChoreSwapError as e:
-                found = found or isinstance(e, FINDINGS)
+                found = found or isinstance(e, Finding)
                 failures += 1
                 ms = (time.perf_counter() - t0) * 1000
                 rows.append(

@@ -5,6 +5,13 @@ class ChoreSwapError(Exception):
     """Base class for all package errors."""
 
 
+class Finding(ChoreSwapError):
+    """A reportable finding, exit 2 on the command line: a failed
+    postcondition, a start that fails its gate, a certificate a pipeline
+    built that does not validate, or an input that contradicts a
+    derivation the pipeline relies on."""
+
+
 class ParseError(ChoreSwapError):
     """Malformed input file; carries a 1-based line and column."""
 
@@ -71,7 +78,7 @@ class SelfSwap(ChoreSwapError):
     pass
 
 
-class CertificateInvalid(ChoreSwapError):
+class CertificateInvalid(Finding):
     def __init__(self, violations):
         super().__init__(
             "certificate invalid: " + "; ".join(str(v) for v in violations)
@@ -79,7 +86,7 @@ class CertificateInvalid(ChoreSwapError):
         self.violations = violations
 
 
-class PostconditionViolated(ChoreSwapError):
+class PostconditionViolated(Finding):
     """An always-on invariant monitor fired. Carries the full trace."""
 
     def __init__(self, message, trace=None):
@@ -95,7 +102,7 @@ class NotBivalued(ChoreSwapError):
     pass
 
 
-class RhoNotLessThanK(ChoreSwapError):
+class RhoNotLessThanK(Finding):
     pass
 
 
@@ -111,7 +118,7 @@ class RoundedInputInvalid(ChoreSwapError):
         self.violations = violations
 
 
-class CouplingUnsatisfiable(ChoreSwapError):
+class CouplingUnsatisfiable(Finding):
     pass
 
 
@@ -123,5 +130,5 @@ class GenerationBudgetExceeded(ChoreSwapError):
     pass
 
 
-class InvariantViolation(ChoreSwapError):
+class InvariantViolation(Finding):
     pass

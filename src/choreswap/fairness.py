@@ -17,6 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence, Union
 
+from .errors import ChoreSwapError
 from .market import _integer_prices
 from .model import INFINITE, Allocation, Instance, bundle_disutility
 
@@ -38,10 +39,14 @@ def hat_d(inst: Instance, i: int, chores) -> Fraction:
 
 def _residual(row, bundle, k: Optional[int] = None):
     """Cost of bundle under row after dropping its k costliest chores, or,
-    when k is None, its cheapest chore (0 for at most one chore)."""
+    when k is None, its cheapest chore (0 for at most one chore). A k that
+    is not a non-negative int raises ChoreSwapError: a negative slice
+    would keep only the cheapest chores."""
     vals = [row[j] for j in bundle]
     if k is None:
         return sum(vals) - min(vals) if len(vals) > 1 else 0
+    if type(k) is not int or k < 0:
+        raise ChoreSwapError(f"k must be a non-negative int, got {k!r}")
     vals.sort(reverse=True)
     return sum(vals[k:])
 
@@ -112,21 +117,16 @@ def is_alpha_efk(inst: Instance, X: Allocation, alpha: Fraction, k: int) -> bool
     return _within(_envy(inst.integer_rows(), X, k), alpha)
 
 
-def price_envy(P, X: Allocation, k: Optional[int]):
-    """_worst_envy under the common integer price row P, one price per
-    chore of X: one earnings row serves as every agent's cross sums."""
+def _price_envy(inst: Instance, X: Allocation, p: Sequence[Fraction], k: Optional[int]):
+    """_worst_envy of X under p rescaled to a positive integer row P, one
+    price per chore: one earnings row serves as every agent's cross sums.
+    The price length and signs are checked before the shape of X."""
+    P = _integer_prices(inst, p)
+    X.check_shape(inst.n, inst.m)
     earn = [0] * X.n
     for o, v in zip(X.owners, P):
         earn[o] += v
     return _worst_envy([_residual(P, b, k) for b in X.bundles()], [earn] * X.n)
-
-
-def _price_envy(inst: Instance, X: Allocation, p: Sequence[Fraction], k: Optional[int]):
-    """price_envy of X under p rescaled to positive integers; the price
-    length and signs are checked before the shape of X."""
-    P = _integer_prices(inst, p)
-    X.check_shape(inst.n, inst.m)
-    return price_envy(P, X, k)
 
 
 def is_pefk(
@@ -208,48 +208,19 @@ def is_po_bruteforce(
     return PoResult("dominated", Allocation(n, hit))
 
 
-@dataclass(frozen=True)
-class EnvyRow:
-    i: int  # 1-based in serialized form
-    h: int
-    notion: str
-    numerator: Fraction
-    denominator: Fraction
-
-    @property
-    def ratio(self):
-        if self.numerator == 0:
-            return Fraction(0)
-        if self.denominator == 0:
-            return INFINITE
-        return Fraction(self.numerator, self.denominator)
-
-
-@dataclass(frozen=True)
-class EnvyReport:
-    rows: tuple
-
-    def to_csv(self) -> str:
-        out = ["i,h,notion,numerator,denominator,ratio"]
-        for r in self.rows:
-            out.append(
-                f"{r.i + 1},{r.h + 1},{r.notion},{r.numerator},"
-                f"{r.denominator},{r.ratio}"
-            )
-        return "\n".join(out) + "\n"
-
-
-def envy_report(inst: Instance, X: Allocation, k: Optional[int] = None) -> EnvyReport:
-    """Pairwise envy quantities in the instance's own units; EFX
-    worst-removal numerators by default, EFk removal of the k largest
-    chores when k is given."""
+def envy_report(inst: Instance, X: Allocation, k: Optional[int] = None) -> str:
+    """Pairwise envy quantities in the instance's own units, as CSV text:
+    a header, then one row i,h,notion,numerator,denominator,ratio per
+    ordered pair of distinct 1-based agents. The numerators are the EFX
+    worst-removal ones by default, EFk removal of the k largest chores
+    when k is given. A zero numerator has ratio 0, a positive one over
+    an empty rival bundle the Infinite ratio."""
     nums, cross = _envy_terms(inst.d, X, k)
     notion = "efx" if k is None else f"ef{k}"
-    return EnvyReport(
-        tuple(
-            EnvyRow(i, h, notion, nums[i], cross[i][h])
-            for i in range(inst.n)
-            for h in range(inst.n)
-            if h != i
-        )
-    )
+    out = ["i,h,notion,numerator,denominator,ratio"]
+    for i, a in enumerate(nums):
+        for h, b in enumerate(cross[i]):
+            if h != i:
+                ratio = 0 if a == 0 else INFINITE if b == 0 else Fraction(a, b)
+                out.append(f"{i + 1},{h + 1},{notion},{a},{b},{ratio}")
+    return "\n".join(out) + "\n"

@@ -74,10 +74,6 @@ def parse_rational(token: str, line: int = None, col: int = None) -> Fraction:
     return Fraction(num, den)
 
 
-def format_rational(x: Fraction) -> str:
-    return str(x)
-
-
 def _scaled_row(row: Sequence[Fraction]) -> tuple:
     """(row times s, s) for s the least common multiple of its denominators."""
     scale = math.lcm(*[v.denominator for v in row])
@@ -299,7 +295,7 @@ def serialize_instance(inst: Instance) -> str:
         if s == 1:
             out.append(" ".join(map(str, row)))
         else:
-            out.append(" ".join(format_rational(Fraction(v, s)) for v in row))
+            out.append(" ".join(str(Fraction(v, s)) for v in row))
     return "\n".join(out) + "\n"
 
 
@@ -391,7 +387,7 @@ def parse_prices(text: str, m: int) -> tuple:
 
 
 def serialize_prices(p: Sequence[Fraction]) -> str:
-    return " ".join(format_rational(v) for v in p) + "\n"
+    return " ".join(map(str, p)) + "\n"
 
 
 @dataclass(frozen=True)

@@ -30,6 +30,7 @@ from typing import Tuple
 
 from .errors import (
     BudgetExceeded,
+    CertificateInvalid,
     GenerationBudgetExceeded,
     TraceMismatch,
 )
@@ -304,9 +305,16 @@ def verify_trace(
 
     Raises TraceMismatch when the trace diverges from the replay (forged,
     reordered or missing events). Returns False when the replay itself
-    breaks an invariant, True when everything checks out.
+    breaks an invariant, True when everything checks out. A start of
+    another shape than inst raises its shape error, and N0, NH that do
+    not partition the agents raise CertificateInvalid, before any replay.
     """
     n, m = inst.n, inst.m
+    Y.check_shape(n, m)
+    if cert.n0 | cert.nh != set(range(n)) or cert.n0 & cert.nh:
+        raise CertificateInvalid(
+            [f"N0 {sorted(cert.n0)} and NH {sorted(cert.nh)} do not partition agents 0..{n - 1}"]
+        )
     bundles = [set(b) for b in Y.bundles()]
     order = sorted(cert.nh)
     lam = cert.lam

@@ -26,7 +26,7 @@ from .errors import (
     RoundedInputInvalid,
     TooManyChores,
 )
-from .fairness import DEFAULT_BUDGET, _within, efx_factor, price_envy
+from .fairness import DEFAULT_BUDGET, efx_factor
 from .framework import FriendlyCertificate, SwapTrace, chore_swap, run_framework
 from .market import _integer_prices, is_mpb_allocation, mpb_holds, mpb_ratio
 from .model import Allocation, Instance, allocation_from_bundles
@@ -150,45 +150,48 @@ def search_pef1_mpb(inst: Instance) -> Pef1Solution:
     return Pef1Solution(Allocation(n, tuple(owners)), tuple(Fraction(p, least) for p in price))
 
 
-def _require_pef1_mpb(inst: Instance, sol: Pef1Solution) -> list:
-    """The gate on a start: its prices make it MPB and pEF1. Returns the
-    prices rescaled once to positive integers, P, on which the gate and
-    every later price comparison of the pipeline run."""
+def _require_pef1_mpb(inst: Instance, sol: Pef1Solution) -> Tuple[list, int, list]:
+    """The gate on a start: its prices make it MPB and pEF1. Returns
+    (P, rho, top): the prices rescaled once to positive integers, on which
+    the gate and every later price comparison of the pipeline run, the
+    least earning and each bundle's highest price (0 if empty), both on
+    P's scale. Both certificate rules read rho and top to put agents in N_H.
+
+    pEF1 is `is_pefk(inst, X, p, 1, 1)`: each i whose earning less its
+    top price, a_i, is positive has a_i <= earn_h for every h != i, and an
+    empty rival (earn_h = 0) fails. One pass over the owners gives earn
+    and top, and the gate tests max_i a_i <= rho = min_h earn_h, which is
+    the same condition: a_i <= earn_i always holds (top_i >= 0), so h = i
+    adds nothing; a_i = 0 passes both; a positive a_i fails both beside an
+    empty bundle, where rho = 0; and with n = 1 both pass, as a_1 <= earn_1.
+    """
     sol.x.check_shape(inst.n, inst.m)
     P = _integer_prices(inst, sol.p)
     if not mpb_holds(inst.integer_rows(), P, sol.x.owners):
         raise InvariantViolation("solution is not an MPB allocation")
-    if not _within(price_envy(P, sol.x, 1), 1):
-        raise InvariantViolation("solution is not pEF1")
-    return P
-
-
-def _price_split(X: Allocation, P) -> Tuple[int, List[int]]:
-    """The least earning rho and, per bundle, its highest price, both on
-    the scale of the integer prices P: what both certificate rules read
-    to put agents in N_H."""
-    earn = [0] * X.n
-    top = [0] * X.n
-    for p, o in zip(P, X.owners):
+    earn = [0] * inst.n
+    top = [0] * inst.n
+    for p, o in zip(P, sol.x.owners):
         earn[o] += p
-        if p > top[o]:
-            top[o] = p
-    return min(earn), top
+        top[o] = max(top[o], p)
+    rho = min(earn)
+    if max(e - t for e, t in zip(earn, top)) > rho:
+        raise InvariantViolation("solution is not pEF1")
+    return P, rho, top
 
 
 def certificate_from_pef1(inst: Instance, sol: Pef1Solution) -> FriendlyCertificate:
     """Split agents by whether their highest-priced chore exceeds the least
     earner's income. Yields a valid strict certificate with lambda = 2.
 
-    The split compares integers: the prices P returned by the pEF1+MPB
-    gate are sol.p times one positive constant, which leaves `top > rho`
-    unchanged. The certificate holds for `inst` as given: every
+    The split compares the integers rho and top of the pEF1+MPB gate: its
+    prices P are sol.p times one positive constant, which leaves `top >
+    rho` unchanged. The certificate holds for `inst` as given: every
     certificate inequality compares one agent's own values, so scaling a
     row (as by 1/alpha_i, which turns MPB values into prices) changes
     none of them.
     """
-    P = _require_pef1_mpb(inst, sol)
-    rho, top = _price_split(sol.x, P)
+    _, rho, top = _require_pef1_mpb(inst, sol)
     nh = frozenset(i for i, t in enumerate(top) if t > rho)
     return FriendlyCertificate(Fraction(2), frozenset(range(inst.n)) - nh, nh, weak=False)
 
@@ -208,10 +211,10 @@ def solve_2efx(inst: Instance) -> SolveResult:
 
 
 def _bivalued_candidate(
-    inst: Instance, k: Fraction, sol: Pef1Solution, P: list
+    inst: Instance, k: Fraction, sol: Pef1Solution, P: list, rho: int, top: list
 ) -> SolveResult:
     """Run a {1,k}-priced pEF1+MPB start through the bivalued pipeline,
-    with P its prices as rescaled to integers by the pEF1+MPB gate.
+    with (P, rho, top) what the pEF1+MPB gate returned for it.
 
     P is sol.p times one positive integer `one`, price 1 on P's scale
     (min(P), as the market loop leaves the least price at 1). The least
@@ -224,7 +227,6 @@ def _bivalued_candidate(
     trace = _trivial_trace(inst, sol.x, lam, "weak")
     if trace.final_factor <= lam:
         return SolveResult(sol.x, trace, "bivalued", prices=sol.p, notes=["early-exit"])
-    rho, top = _price_split(sol.x, P)
     one = P[0] * sol.p[0].denominator // sol.p[0].numerator
     if not rho * k.denominator < k.numerator * one:
         raise RhoNotLessThanK(
@@ -262,7 +264,7 @@ def solve_bivalued(inst: Instance) -> SolveResult:
     if not all(p == 1 or p == k for p in sol.p):
         span = ", ".join(map(str, sorted(set(sol.p))))
         raise PostconditionViolated(f"market prices {{{span}}} are not in {{1, {k}}} (finding)")
-    return _bivalued_candidate(inst, k, sol, _require_pef1_mpb(inst, sol))
+    return _bivalued_candidate(inst, k, sol, *_require_pef1_mpb(inst, sol))
 
 
 def _round_robin_two_phase(inst: Instance) -> Allocation:
@@ -319,14 +321,16 @@ class ErRoundedInput:
     x: Allocation
     p: tuple
     h_set: frozenset  # chores priced above 1/2
+    low_earn: tuple  # per agent, the total price of its chores outside h_set
 
 
 def validate_rounded_er(
     inst: Instance, X: Allocation, p: Sequence[Fraction]
 ) -> Tuple[Optional[ErRoundedInput], List[str]]:
     """Check the five rounding properties plus the MPB and price-scaling
-    conventions. Violations are data, not errors; an allocation of another
-    shape than inst raises."""
+    conventions, and carry each agent's low earning, which they read.
+    Violations are data, not errors; an allocation of another shape than
+    inst raises."""
     X.check_shape(inst.n, inst.m)
     if len(p) != inst.m:
         return None, ["price vector length mismatch"]
@@ -334,10 +338,11 @@ def validate_rounded_er(
     if violations:
         return None, violations
     h_set = frozenset(j for j in range(inst.m) if p[j] > HALF)
-    bundles = X.bundles()
-    for i, b in enumerate(bundles):
+    lows = []
+    for i, b in enumerate(X.bundles()):
         high = [j for j in b if j in h_set]
         low_earn = sum((p[j] for j in b if j not in h_set), Fraction(0))
+        lows.append(low_earn)
         total = low_earn + sum((p[j] for j in high), Fraction(0))
         if len(high) > 2:
             violations.append(f"(i) agent {i + 1} holds {len(high)} high chores")
@@ -358,7 +363,7 @@ def validate_rounded_er(
         violations.append("not an MPB allocation")
     if violations:
         return None, violations
-    return ErRoundedInput(X, tuple(p), h_set), violations
+    return ErRoundedInput(X, tuple(p), h_set, tuple(lows)), violations
 
 
 def solve_4efx(
@@ -369,7 +374,10 @@ def solve_4efx(
     Re-allocates the high-priced chores with the small-m construction,
     couples the resulting bundles to agents so every multi-chore receiver
     keeps low earnings at most 1, and runs the framework at lambda = 4.
-    Trying more than `budget` of the n! couplings raises BudgetExceeded.
+    The bundles are coupled on the high-chore sub-instance's own indices.
+    Prices are positive, so an agent holds a low chore iff its carried
+    low earning is nonzero. Trying more than `budget` of the n! couplings
+    raises BudgetExceeded.
     """
     n, m = inst.n, inst.m
     if m <= 2 * n:
@@ -383,59 +391,34 @@ def solve_4efx(
         )
     notes = []
     sub = Instance(tuple(tuple(row[j] for j in h) for row in inst.d))
-    z_res = solve_small_m(sub)
-    z_bundles = [frozenset(h[j] for j in b) for b in z_res.x.bundles()]
-
-    x_bundles = rounded.x.bundles()
-    low_earn = [
-        sum(
-            (rounded.p[j] for j in b if j not in rounded.h_set),
-            Fraction(0),
-        )
-        for b in x_bundles
-    ]
-
-    has_low = [
-        any(j not in rounded.h_set for j in b) for b in x_bundles
-    ]
+    z_bundles = solve_small_m(sub).x.bundles()
 
     def coupling_ok(zb):
-        return (
-            all(low_earn[i] <= 1 for i in range(n) if len(zb[i]) >= 2)
-            and all(zb[i] or has_low[i] for i in range(n))
-            and (
-                not any(len(b) == 0 for b in zb)
-                or not any(len(b) >= 2 for b in zb)
-            )
-        )
+        """Multi-chore receivers keep low earnings <= 1, every agent ends
+        with a chore, and no empty bundle sits beside a multi-chore one."""
+        return all(
+            (len(b) < 2 or low <= 1) and (b or low) for b, low in zip(zb, rounded.low_earn)
+        ) and (all(zb) or max(map(len, zb)) < 2)
 
     if not coupling_ok(z_bundles):
-        found = None
-        for tried, perm in enumerate(itertools.permutations(range(n)), 1):
+        for tried, cand in enumerate(itertools.permutations(z_bundles), 1):
             if tried > budget:
                 raise BudgetExceeded(f"more than {budget} couplings tried")
-            cand = [z_bundles[perm[i]] for i in range(n)]
-            if not coupling_ok(cand):
-                continue
-            cand_alloc = allocation_from_bundles(
-                n, len(h), [[h.index(j) for j in b] for b in cand]
-            )
-            if efx_factor(sub, cand_alloc) <= 1:
-                found = cand
+            if coupling_ok(cand) and efx_factor(sub, allocation_from_bundles(n, len(h), cand)) <= 1:
+                z_bundles = cand
                 notes.append("re-coupled high-chore bundles")
                 break
-        if found is None:
+        else:
             raise CouplingUnsatisfiable(
                 "no assignment of high-chore bundles keeps every multi-chore "
                 "receiver's low earnings at most 1"
             )
-        z_bundles = found
 
-    y_bundles = [
-        (set(b) - rounded.h_set) | z_bundles[i]
-        for i, b in enumerate(x_bundles)
-    ]
-    y = allocation_from_bundles(n, m, y_bundles)
+    owners = list(rounded.x.owners)
+    for i, b in enumerate(z_bundles):
+        for j in b:
+            owners[h[j]] = i
+    y = Allocation(n, tuple(owners))
     nh = frozenset(i for i in range(n) if len(z_bundles[i]) == 1)
     cert = FriendlyCertificate(
         Fraction(4), frozenset(range(n)) - nh, nh, weak=False

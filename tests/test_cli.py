@@ -256,6 +256,10 @@ def test_check_mpb_requires_prices(tmp_path, capsys):
     inst = write(tmp_path, "i1.txt", I1)
     alloc = write(tmp_path, "i1.alloc", "1 1 2\n")
     assert main(["check", inst, "--alloc", alloc, "--props", "mpb"]) == 1
+    # A negative k is an input error, not a verdict.
+    prices = write(tmp_path, "i1.prices", "1 1 10\n")
+    for prop in ("efk:1:-1", "pefk:1:-1"):
+        assert main(["check", inst, "--alloc", alloc, "--prices", prices, "--props", prop]) == 1
 
 
 def test_check_mpb_and_pefk(tmp_path, capsys):

@@ -17,6 +17,7 @@ from choreswap import (
     is_pefk,
     is_pefx,
     is_po_bruteforce,
+    verify_trace,
 )
 from choreswap.errors import (
     AgentOutOfRange,
@@ -26,7 +27,7 @@ from choreswap.errors import (
     PriceLengthMismatch,
 )
 from choreswap.fairness import PoResult, _envy_terms
-from choreswap.framework import FriendlyCertificate, validate_certificate
+from choreswap.framework import FriendlyCertificate, SwapTrace, validate_certificate
 from choreswap.market import is_mpb_allocation, mpb_price_feasibility
 from choreswap.pipelines import validate_rounded_er
 from choreswap.model import UniformInt, integer_row
@@ -71,6 +72,7 @@ def test_checkers_reject_allocation_of_another_shape():
         "is_mpb_allocation": lambda X: is_mpb_allocation(inst, X, p),
         "mpb_price_feasibility": lambda X: mpb_price_feasibility(inst, X),
         "validate_rounded_er": lambda X: validate_rounded_er(inst, X, p),
+        "verify_trace": lambda X: verify_trace(inst, X, cert, SwapTrace()),
     }
     wrong = [
         (Allocation(3, (0, 1, 2)), AgentOutOfRange),
@@ -101,6 +103,8 @@ def test_is_alpha_efk_examples():
     assert is_alpha_efk(inst, x, Fraction(1), 1)
     assert is_alpha_efk(inst, Allocation(2, (0, 0, 0)), Fraction(0), 3)
     assert not is_alpha_efk(inst, Allocation(2, (0, 0, 0)), Fraction(1), 1)
+    with pytest.raises(ChoreSwapError):  # would keep only the cheapest chore
+        is_alpha_efk(inst, Allocation(2, (0, 0, 0)), Fraction(1), -1)
 
 
 def test_efk_shortcut_matches_subset_enumeration():
@@ -152,6 +156,8 @@ def test_pefk_and_pefx_examples():
     singles = Allocation(2, (0, 1))
     inst2 = make_instance([[1, 2], [2, 1]])
     assert is_pefk(inst2, singles, (Fraction(3), Fraction(4)), Fraction(0), 1)
+    with pytest.raises(ChoreSwapError):
+        is_pefk(inst, Allocation(2, (0, 0, 0)), p, Fraction(1), -1)
 
 
 def test_is_po_bruteforce_examples():
@@ -314,8 +320,7 @@ def test_pefx_implies_pef1():
 
 def test_envy_report_csv():
     inst = inst_i1()
-    rep = envy_report(inst, Allocation(2, (0, 0, 1)))
-    csv = rep.to_csv()
+    csv = envy_report(inst, Allocation(2, (0, 0, 1)))
     lines = csv.strip().split("\n")
     assert lines[0] == "i,h,notion,numerator,denominator,ratio"
     assert lines[1] == "1,2,efx,1,10,1/10"
@@ -371,7 +376,7 @@ def test_envy_terms_match_per_bundle_sums():
         for k in (None, 1, 2, 3):
             for rows in (inst.integer_rows(), [integer_row(p)] * n, inst.d):
                 assert _envy_terms(rows, x, k) == _naive_terms(rows, x, k)
-            assert envy_report(inst, x, k).to_csv() == _naive_csv(inst, x, k)
+            assert envy_report(inst, x, k) == _naive_csv(inst, x, k)
             nums, cross = _naive_terms([p] * n, x, k)
             want = all(
                 nums[i] <= alpha * cross[i][h] for i in range(n) for h in range(n) if h != i

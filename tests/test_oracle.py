@@ -19,7 +19,12 @@ from choreswap import (
     validate_certificate,
     verify_trace,
 )
-from choreswap.errors import BudgetExceeded, GenerationBudgetExceeded, TraceMismatch
+from choreswap.errors import (
+    BudgetExceeded,
+    CertificateInvalid,
+    GenerationBudgetExceeded,
+    TraceMismatch,
+)
 from choreswap.model import Bivalued, UniformInt
 from choreswap.framework import designated_chore
 from choreswap.oracle import CertificateBounds, _bundle_sum, _hat
@@ -251,6 +256,12 @@ def test_verify_trace_empty_nh():
     cert = FriendlyCertificate(Fraction(2), frozenset({0, 1}), frozenset(), False)
     x, trace = run_framework(inst, alloc, cert)
     assert verify_trace(inst, alloc, cert, trace)
+    # N0 and NH that do not partition the agents: an N_H agent out of
+    # range, and an agent in both parts.
+    for n0, nh in (({0}, {1, 2}), ({0, 1}, {1})):
+        bad = FriendlyCertificate(Fraction(2), frozenset(n0), frozenset(nh), False)
+        with pytest.raises(CertificateInvalid):
+            verify_trace(inst, alloc, bad, trace)
 
 
 def test_oracle_solver_agreement_sample():

@@ -291,7 +291,7 @@ def test_integer_pef1_path_matches_the_fraction_checkers(monkeypatch):
         else:
             want = None
         try:
-            P = pipelines._require_pef1_mpb(inst, start)
+            gate = pipelines._require_pef1_mpb(inst, start)
         except InvariantViolation as e:
             assert str(e) == want, (inst.d, start)
             seen["mpb" if "MPB" in want else "pef1"] += 1
@@ -311,7 +311,7 @@ def test_integer_pef1_path_matches_the_fraction_checkers(monkeypatch):
             continue
         certs.clear()
         try:
-            pipelines._bivalued_candidate(inst, k, start, P)
+            pipelines._bivalued_candidate(inst, k, start, *gate)
         except RhoNotLessThanK as e:
             assert not min(earn) < k
             assert str(e) == f"least earning {min(earn)} >= k = {k} contradicts the bivalued derivation"
