@@ -209,7 +209,6 @@ class SwapTrace:
     """Ordered record of Phase-1 picks and Phase-2 swaps with per-iteration
     invariant results. All indices 0-based in memory, 1-based on the wire."""
 
-    lam: Fraction = Fraction(1)
     mode: str = "strict"
     picks: List[Tuple[int, int]] = field(default_factory=list)
     swaps: List[Tuple[int, int, int]] = field(default_factory=list)
@@ -255,7 +254,7 @@ def run_framework(
     if violations:
         raise CertificateInvalid(violations)
     lam = cert.lam
-    trace = SwapTrace(lam=lam, mode=cert.mode)
+    trace = SwapTrace(mode=cert.mode)
     rows = state.rows
     order = sorted(cert.nh)  # NH re-indexed as [r] in ascending agent order
 

@@ -3,11 +3,12 @@
 All numeric quantities are exact: `int` or `fractions.Fraction`, never
 float or bool; no floating point enters any fairness computation.
 Instances, allocations and price vectors are immutable after
-construction and safe to share across threads. An instance holds its
-integer rows (each row times the lcm of its denominators) and those
-lcms; the parser and the generator build them straight from their
-input. Its Fraction matrix d, its rows on one common scale and its
-bivalued ratio are built once each, on first use.
+construction and safe to share across threads, and none keeps a list
+its caller passed in. An instance holds only its integer rows (each row
+times the lcm of its denominators) and those lcms; the parser and the
+generator build them straight from their input. Its Fraction matrix d,
+its rows on one common scale and its bivalued ratio are built once
+each, on first use.
 """
 
 from __future__ import annotations
@@ -104,9 +105,9 @@ class Instance:
     lcm of the row's denominators), and those scales. `parse_instance`
     and `generate_random` build them straight from their input, which
     they have already checked. `Instance(d)` checks d, with ints or
-    Fractions as entries, and derives them; it keeps d, with ints stored
-    as Fractions so every quotient of two entries is exact. Otherwise d
-    is built on first use, one shared Fraction per distinct value.
+    Fractions as entries, derives them and does not keep d. d is built
+    from the integer rows on first use, one shared Fraction per distinct
+    value, so every quotient of two entries is exact.
 
     Two instances are equal iff their d are. d fixes the integer rows and
     scales and they fix d, so equality and hash compare those fields and
@@ -119,7 +120,6 @@ class Instance:
         if len(d) < 1:
             raise MalformedHeader("instance needs at least one agent")
         m = len(d[0])
-        has_int = False
         for i, row in enumerate(d):
             if len(row) != m:
                 raise RowCountMismatch(f"row {i + 1} has {len(row)} entries, expected {m}")
@@ -130,15 +130,11 @@ class Instance:
                         raise BadRational(
                             f"d[{i + 1}][{j + 1}] = {v!r} is not an int or Fraction"
                         )
-                    has_int = has_int or not isinstance(v, Fraction)
                 if v.numerator <= 0:  # denominators are positive
                     raise NonPositiveDisutility(
                         f"d[{i + 1}][{j + 1}] = {v} is not positive"
                     )
-        if has_int:
-            d = tuple(tuple(Fraction(v) for v in row) for row in d)
         self._init(*_scaled_rows(d))
-        self.__dict__["d"] = d
 
     @classmethod
     def _from_rows(cls, rows: tuple, scales: tuple) -> "Instance":
@@ -308,6 +304,8 @@ class Allocation:
     owners: tuple
 
     def __post_init__(self):
+        if type(self.owners) is not tuple:  # a caller's list stays theirs
+            object.__setattr__(self, "owners", tuple(self.owners))
         n = self.n
         for j, o in enumerate(self.owners):
             # An exact int only: a float indexes nothing, and a bool is an int.

@@ -31,6 +31,7 @@ from typing import Tuple
 from .errors import (
     BudgetExceeded,
     CertificateInvalid,
+    EmptyBundle,
     GenerationBudgetExceeded,
     TraceMismatch,
 )
@@ -306,8 +307,9 @@ def verify_trace(
     Raises TraceMismatch when the trace diverges from the replay (forged,
     reordered or missing events). Returns False when the replay itself
     breaks an invariant, True when everything checks out. A start of
-    another shape than inst raises its shape error, and N0, NH that do
-    not partition the agents raise CertificateInvalid, before any replay.
+    another shape than inst raises its shape error, N0, NH that do not
+    partition the agents raise CertificateInvalid, and an empty start
+    bundle raises EmptyBundle, before any replay.
     """
     n, m = inst.n, inst.m
     Y.check_shape(n, m)
@@ -316,6 +318,9 @@ def verify_trace(
             [f"N0 {sorted(cert.n0)} and NH {sorted(cert.nh)} do not partition agents 0..{n - 1}"]
         )
     bundles = [set(b) for b in Y.bundles()]
+    for i, b in enumerate(bundles):
+        if not b:
+            raise EmptyBundle(i)
     order = sorted(cert.nh)
     lam = cert.lam
 

@@ -53,8 +53,8 @@ class SolveResult:
     start: Optional[Allocation] = None  # run_framework's input; None if it did not run
 
 
-def _trivial_trace(inst: Instance, X: Allocation, lam: Fraction, mode: str) -> SwapTrace:
-    t = SwapTrace(lam=lam, mode=mode)
+def _trivial_trace(inst: Instance, X: Allocation, mode: str) -> SwapTrace:
+    t = SwapTrace(mode=mode)
     t.final_factor = efx_factor(inst, X)
     return t
 
@@ -203,7 +203,7 @@ def solve_2efx(inst: Instance) -> SolveResult:
     if len(set(sol.x.owners)) < inst.n:
         # Only reachable when m < n: the pEF1 prices force singleton
         # bundles, which are exactly EFX already.
-        trace = _trivial_trace(inst, sol.x, Fraction(2), "strict")
+        trace = _trivial_trace(inst, sol.x, "strict")
         return SolveResult(sol.x, trace, "pef1", prices=sol.p, notes=["m<n singleton"])
     cert = certificate_from_pef1(inst, sol)
     x, trace = run_framework(inst, sol.x, cert)
@@ -224,7 +224,7 @@ def _bivalued_candidate(
     PostconditionViolated.
     """
     lam = 2 - 1 / k
-    trace = _trivial_trace(inst, sol.x, lam, "weak")
+    trace = _trivial_trace(inst, sol.x, "weak")
     if trace.final_factor <= lam:
         return SolveResult(sol.x, trace, "bivalued", prices=sol.p, notes=["early-exit"])
     one = P[0] * sol.p[0].denominator // sol.p[0].numerator
@@ -304,7 +304,7 @@ def solve_small_m(inst: Instance) -> SolveResult:
     y = _round_robin_two_phase(inst)
     if m <= n:
         # At most one chore each: EFX already, with no framework run.
-        return SolveResult(y, _trivial_trace(inst, y, Fraction(1), "weak"), "small-m")
+        return SolveResult(y, _trivial_trace(inst, y, "weak"), "small-m")
     cert = FriendlyCertificate(Fraction(1), frozenset(), frozenset(range(n)), weak=True)
     x, trace = run_framework(inst, y, cert)
     return SolveResult(x, trace, "small-m", cert=cert, start=y)

@@ -10,16 +10,9 @@ from choreswap import (
     Allocation,
     FriendlyCertificate,
     best_efx_factor,
-    bundle_disutility,
     efx_factor,
     generate_random,
-    generate_valid_certificate,
     hat_d,
-    is_alpha_efk,
-    is_mpb_allocation,
-    is_pefk,
-    is_pefx,
-    is_po_bruteforce,
     run_framework,
     solve_2efx,
     solve_4efx,
@@ -27,8 +20,10 @@ from choreswap import (
     solve_small_m,
     validate_rounded_er,
 )
-from choreswap.model import Bivalued, UniformInt
-from choreswap.oracle import CertificateBounds
+from choreswap.fairness import is_alpha_efk, is_pefk, is_pefx, is_po_bruteforce
+from choreswap.market import is_mpb_allocation
+from choreswap.model import Bivalued, UniformInt, bundle_disutility
+from choreswap.oracle import CertificateBounds, generate_valid_certificate
 
 from conftest import ROUNDED_SHAPES, inst_i3, rounded_fixture, scale_rows
 

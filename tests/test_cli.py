@@ -3,6 +3,7 @@ import os
 import re
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import pytest
@@ -162,7 +163,7 @@ def test_solve_verify_replays_the_trace(tmp_path, capsys, method, text):
 def test_report_row_certifies_po_from_prices(solve, seed, n, m, po):
     inst = choreswap.generate_random(seed, n, m, UniformInt(1, 20))
     res = solve(inst)
-    assert choreswap.is_po_bruteforce(inst, res.x, 1).status == "budget-exceeded"
+    assert choreswap.fairness.is_po_bruteforce(inst, res.x, 1).status == "budget-exceeded"
     assert _report_row("x", "auto", res, inst, 0.0, 1).split(",")[6] == po
 
 
@@ -428,6 +429,29 @@ def test_python_m_choreswap_runs_gen(capsys):
     assert proc.stdout == capsys.readouterr().out
 
 
+PUBLIC_API = [
+    "Allocation", "ChoreSwapError", "FriendlyCertificate", "INFINITE", "Instance",
+    "best_efx_factor", "efx_factor", "envy_report", "generate_random", "hat_d",
+    "mpb_price_feasibility", "parse_instance", "run_framework", "search_pef1_mpb",
+    "solve_2efx", "solve_4efx", "solve_bivalued", "solve_small_m", "validate_certificate",
+    "validate_rounded_er", "verify_trace",
+]
+
+
+def test_public_api():
+    # The package exports the calls the README names; every other public
+    # name bound on it is a submodule, so each name has one import path.
+    assert sorted(choreswap.__all__) == PUBLIC_API
+    assert all(hasattr(choreswap, name) for name in PUBLIC_API)
+    assert {
+        name for name, value in vars(choreswap).items()
+        if not name.startswith("_") and name not in PUBLIC_API
+        and not (isinstance(value, types.ModuleType) and value.__name__ == f"choreswap.{name}")
+    } == set()
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    assert [name for name in PUBLIC_API if f"`{name}`" not in readme] == []
+
+
 # A fractional file with three values and m > 2n, so auto routes it to pef1.
 FRAC = "2 5\n1/2 3/4 2 5/3 1\n2 1/3 7/4 1 5/2\n"
 PROPS = "efx:2,efx:1/2,efk:1:1,efk:1/3:0,pefk:1:1,pefk:1/2:1,pefx:1,mpb,po,cert:2:strict,cert:1:weak"
@@ -466,8 +490,8 @@ def test_cli_output_digest(tmp_path, capsys):
         inst = choreswap.parse_instance(path.read_text())
         alloc = work / f"{path.stem}.alloc"
         assert run("solve", path, "--verify", "--out", alloc) == 0
-        x = choreswap.parse_allocation(alloc.read_text(), inst.n, inst.m)
-        prices = write(work, f"{path.stem}.prices", choreswap.serialize_prices(
+        x = choreswap.model.parse_allocation(alloc.read_text(), inst.n, inst.m)
+        prices = write(work, f"{path.stem}.prices", choreswap.model.serialize_prices(
             [inst.d[o][j] for j, o in enumerate(x.owners)]))
         run("check", path, "--alloc", alloc, "--prices", prices, "--cert", cert,
             "--props", PROPS, "--report")

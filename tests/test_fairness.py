@@ -7,16 +7,10 @@ import pytest
 from choreswap import (
     INFINITE,
     Allocation,
-    bundle_disutility,
     efx_factor,
     envy_report,
     generate_random,
     hat_d,
-    is_alpha_efk,
-    is_alpha_efx,
-    is_pefk,
-    is_pefx,
-    is_po_bruteforce,
     verify_trace,
 )
 from choreswap.errors import (
@@ -26,11 +20,19 @@ from choreswap.errors import (
     IncompleteAllocation,
     PriceLengthMismatch,
 )
-from choreswap.fairness import PoResult, _envy_terms
+from choreswap.fairness import (
+    PoResult,
+    _envy_terms,
+    is_alpha_efk,
+    is_alpha_efx,
+    is_pefk,
+    is_pefx,
+    is_po_bruteforce,
+)
 from choreswap.framework import FriendlyCertificate, SwapTrace, validate_certificate
 from choreswap.market import is_mpb_allocation, mpb_price_feasibility
 from choreswap.pipelines import validate_rounded_er
-from choreswap.model import UniformInt, integer_row
+from choreswap.model import UniformInt, bundle_disutility, integer_row
 
 from conftest import inst_i1, inst_i3, make_instance, scale_rows
 

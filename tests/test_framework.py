@@ -9,12 +9,8 @@ from choreswap import (
     Allocation,
     FriendlyCertificate,
     Instance,
-    bundle_disutility,
-    chore_swap,
-    designated_chore,
     efx_factor,
     generate_random,
-    generate_valid_certificate,
     hat_d,
     run_framework,
     validate_certificate,
@@ -29,9 +25,9 @@ from choreswap.errors import (
 )
 from choreswap import framework
 from choreswap.fairness import _envy_terms
-from choreswap.framework import Violation
-from choreswap.model import UniformInt
-from choreswap.oracle import CertificateBounds
+from choreswap.framework import Violation, chore_swap, designated_chore
+from choreswap.model import UniformInt, bundle_disutility
+from choreswap.oracle import CertificateBounds, generate_valid_certificate
 from choreswap.pipelines import _round_robin_two_phase, solve_small_m
 
 import test_golden

@@ -7,15 +7,8 @@ import pytest
 from choreswap import (
     Allocation,
     Instance,
-    InfeasibilityCycle,
     generate_random,
-    is_mpb_allocation,
-    is_pefk,
-    is_pefx,
-    is_po_bruteforce,
     mpb_price_feasibility,
-    mpb_view,
-    solve_ratio_system,
 )
 from choreswap.errors import (
     AgentOutOfRange,
@@ -24,6 +17,13 @@ from choreswap.errors import (
     IncompleteAllocation,
     NonPositivePrice,
     PriceLengthMismatch,
+)
+from choreswap.fairness import is_pefk, is_pefx, is_po_bruteforce
+from choreswap.market import (
+    InfeasibilityCycle,
+    is_mpb_allocation,
+    mpb_view,
+    solve_ratio_system,
 )
 from choreswap.model import UniformInt
 

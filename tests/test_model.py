@@ -9,19 +9,10 @@ import pytest
 from choreswap import (
     Allocation,
     Instance,
-    bundle_disutility,
     efx_factor,
-    is_mpb_allocation,
     solve_bivalued,
     generate_random,
-    parse_allocation,
-    parse_distribution,
     parse_instance,
-    parse_prices,
-    parse_rational,
-    serialize_allocation,
-    serialize_instance,
-    serialize_prices,
 )
 from choreswap.errors import (
     AgentOutOfRange,
@@ -33,7 +24,21 @@ from choreswap.errors import (
     NonPositiveDisutility,
     RowCountMismatch,
 )
-from choreswap.model import _RATIONAL_RE, Bivalued, UniformInt, integer_row
+from choreswap.market import is_mpb_allocation
+from choreswap.model import (
+    _RATIONAL_RE,
+    Bivalued,
+    UniformInt,
+    bundle_disutility,
+    integer_row,
+    parse_allocation,
+    parse_distribution,
+    parse_prices,
+    parse_rational,
+    serialize_allocation,
+    serialize_instance,
+    serialize_prices,
+)
 
 from conftest import make_instance, scale_rows
 
@@ -366,13 +371,26 @@ def test_instance_validation():
 def test_allocation_validation():
     with pytest.raises(AgentOutOfRange):
         Allocation(2, (0, 5))
+    # A caller's list is copied: editing it changes nothing, and the
+    # allocation hashes.
+    owners = [0, 1, 0]
+    x = Allocation(2, owners)
+    owners[0] = 5
+    assert x.owners == (0, 1, 0) and x.bundles() == [[0, 2], [1]]
+    assert hash(x) == hash(Allocation(2, (0, 1, 0)))
 
 
 def test_int_entries_are_stored_exactly():
-    # Fraction input is kept as given; ints become Fractions, so quotients
-    # of entries (MPB ratios, k) stay exact.
+    # d is rebuilt from the integer rows as Fractions, so quotients of
+    # entries (MPB ratios, k) stay exact.
     rows = ((Fraction(1), Fraction(2)),)
-    assert Instance(rows).d is rows
+    assert Instance(rows).d == rows
+    # The caller's matrix is not kept: editing it changes no instance.
+    d = [[Fraction(1, 2), Fraction(3)], [Fraction(2), Fraction(1)]]
+    inst = Instance(d)
+    d[0][0] = Fraction(7)
+    assert inst.d == ((Fraction(1, 2), 3), (2, 1))
+    assert inst == Instance(((Fraction(1, 2), 3), (2, 1)))
     inst = Instance(((1, 2, 2), (2, 1, 1)))
     assert all(type(v) is Fraction for row in inst.d for v in row)
     k = inst.bivalued_k()

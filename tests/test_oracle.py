@@ -13,7 +13,6 @@ from choreswap import (
     Instance,
     best_efx_factor,
     generate_random,
-    generate_valid_certificate,
     run_framework,
     solve_2efx,
     validate_certificate,
@@ -22,12 +21,13 @@ from choreswap import (
 from choreswap.errors import (
     BudgetExceeded,
     CertificateInvalid,
+    EmptyBundle,
     GenerationBudgetExceeded,
     TraceMismatch,
 )
 from choreswap.model import Bivalued, UniformInt
 from choreswap.framework import designated_chore
-from choreswap.oracle import CertificateBounds, _bundle_sum, _hat
+from choreswap.oracle import CertificateBounds, _bundle_sum, _hat, generate_valid_certificate
 from choreswap.pipelines import _round_robin_two_phase, search_pef1_mpb
 
 from conftest import inst_i1, make_instance
@@ -262,6 +262,15 @@ def test_verify_trace_empty_nh():
         bad = FriendlyCertificate(Fraction(2), frozenset(n0), frozenset(nh), False)
         with pytest.raises(CertificateInvalid):
             verify_trace(inst, alloc, bad, trace)
+    # A start with an empty bundle: run_framework and the replay both
+    # raise EmptyBundle.
+    inst = Instance(((1, 2, 3), (3, 2, 1), (2, 2, 2)))
+    empty = Allocation(3, (0, 0, 1))
+    cert = FriendlyCertificate(Fraction(2), frozenset({0, 1}), frozenset({2}), False)
+    with pytest.raises(EmptyBundle):
+        run_framework(inst, empty, cert)
+    with pytest.raises(EmptyBundle):
+        verify_trace(inst, empty, cert, trace)
 
 
 def test_oracle_solver_agreement_sample():

@@ -9,10 +9,6 @@ from choreswap import (
     Instance,
     efx_factor,
     generate_random,
-    is_alpha_efx,
-    is_mpb_allocation,
-    is_pefk,
-    is_po_bruteforce,
     search_pef1_mpb,
     solve_2efx,
     solve_4efx,
@@ -31,6 +27,8 @@ from choreswap.errors import (
     RoundedInputInvalid,
     TooManyChores,
 )
+from choreswap.fairness import is_alpha_efx, is_pefk, is_po_bruteforce
+from choreswap.market import is_mpb_allocation
 from choreswap.model import Bivalued, UniformInt
 from choreswap.oracle import verify_trace
 from choreswap.pipelines import Pef1Solution, certificate_from_pef1
