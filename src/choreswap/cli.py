@@ -437,7 +437,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     except ChoreSwapError as e:
         print(f"choreswap: error: {e}", file=sys.stderr)
         return EXIT_USAGE
-    except OSError as e:
+    except (OSError, UnicodeDecodeError) as e:  # a file that is not UTF-8 text
         print(f"choreswap: io error: {e}", file=sys.stderr)
         return EXIT_USAGE
 

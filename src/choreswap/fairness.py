@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from typing import Optional, Sequence, Union
 
 from .errors import ChoreSwapError
@@ -37,12 +38,11 @@ def hat_d(inst: Instance, i: int, chores) -> Fraction:
     return total - Fraction(min(row[j] for j in chores), inst.row_scales()[i])
 
 
-def _residual(row, bundle, k: Optional[int] = None):
-    """Cost of bundle under row after dropping its k costliest chores, or,
-    when k is None, its cheapest chore (0 for at most one chore). A k that
-    is not a non-negative int raises ChoreSwapError: a negative slice
-    would keep only the cheapest chores."""
-    vals = [row[j] for j in bundle]
+def _residual(vals, k: Optional[int] = None):
+    """Total of a bundle's values (a list, which may be sorted in place)
+    after dropping its k costliest, or, when k is None, its cheapest (0
+    for at most one value). A k that is not a non-negative int raises
+    ChoreSwapError: a negative slice would keep only the cheapest."""
     if k is None:
         return sum(vals) - min(vals) if len(vals) > 1 else 0
     if type(k) is not int or k < 0:
@@ -51,23 +51,23 @@ def _residual(row, bundle, k: Optional[int] = None):
     return sum(vals[k:])
 
 
-def _cross_sums(rows, X: Allocation):
-    """cross[i][h] = cost of X_h under rows[i], from one pass over the
-    owner vector per row. X must allocate the len(rows[0]) chores among
-    the len(rows) agents."""
+def _envy_terms(rows, X: Allocation, k: Optional[int] = None):
+    """(nums, cross) for the allocation X under per-agent cost rows (ints,
+    or Fractions): cross[i][h] is the cost of X_h under rows[i], and
+    nums[i] the cost of X_i under rows[i] after the `_residual` removal.
+    One pass over the owner vector per row gives both. X must allocate
+    the len(rows[0]) chores among the len(rows) agents."""
     X.check_shape(len(rows), len(rows[0]))
-    cross = [[0] * len(rows) for _ in rows]
-    for c, row in zip(cross, rows):
+    nums, cross = [], []
+    for i, row in enumerate(rows):
+        c, own = [0] * len(rows), []
         for o, v in zip(X.owners, row):
             c[o] += v
-    return cross
-
-
-def _envy_terms(rows, X: Allocation, k: Optional[int] = None):
-    """Numerators nums[i] = _residual(rows[i], X_i, k) and the cross sums
-    of X (whose shape the cross sums check first)."""
-    cross = _cross_sums(rows, X)
-    return [_residual(row, b, k) for row, b in zip(rows, X.bundles())], cross
+            if o == i:
+                own.append(v)
+        nums.append(_residual(own, k))
+        cross.append(c)
+    return nums, cross
 
 
 def _worst_envy(nums, cross, agents=None):
@@ -119,14 +119,9 @@ def is_alpha_efk(inst: Instance, X: Allocation, alpha: Fraction, k: int) -> bool
 
 def _price_envy(inst: Instance, X: Allocation, p: Sequence[Fraction], k: Optional[int]):
     """_worst_envy of X under p rescaled to a positive integer row P, one
-    price per chore: one earnings row serves as every agent's cross sums.
-    The price length and signs are checked before the shape of X."""
-    P = _integer_prices(inst, p)
-    X.check_shape(inst.n, inst.m)
-    earn = [0] * X.n
-    for o, v in zip(X.owners, P):
-        earn[o] += v
-    return _worst_envy([_residual(P, b, k) for b in X.bundles()], [earn] * X.n)
+    price per chore, which is every agent's cost row. The price length
+    and signs are checked before the shape of X."""
+    return _worst_envy(*_envy_terms([_integer_prices(inst, p)] * inst.n, X, k))
 
 
 def is_pefk(
@@ -173,14 +168,12 @@ def is_po_bruteforce(
     n, m = inst.n, inst.m
     if n**m > budget:
         return PoResult("budget-exceeded")
-    rows = inst.integer_rows()
+    cols = list(zip(*inst.integer_rows()))  # cols[j][a]: chore j's cost to agent a
     targets = [0] * n
-    for j, o in enumerate(X.owners):
-        targets[o] += rows[o][j]
+    for o, col in zip(X.owners, cols):
+        targets[o] += col[o]
     goal = sum(targets)
-    rest = [0] * (m + 1)
-    for j in range(m - 1, -1, -1):
-        rest[j] = rest[j + 1] + min(row[j] for row in rows)
+    rest = list(accumulate(map(min, reversed(cols)), initial=0))[::-1]
 
     owners = [0] * m
     sums = [0] * n
@@ -190,8 +183,7 @@ def is_po_bruteforce(
         if j == m:
             return tuple(owners)
         bound = goal - rest[j + 1]
-        for a in range(n):
-            w = rows[a][j]
+        for a, w in enumerate(cols[j]):
             if sums[a] + w > targets[a] or cost + w >= bound:
                 continue
             owners[j] = a

@@ -14,24 +14,30 @@ from fractions import Fraction
 from typing import List, Optional, Tuple
 
 from .errors import (
+    BadRational,
     CertificateInvalid,
     ChoreNotHeld,
     EmptyBundle,
     PostconditionViolated,
     SelfSwap,
 )
-from .fairness import _cross_sums, _residual, _within, _worst_envy, efx_factor, hat_d
-from .model import Allocation, Instance
+from .fairness import _envy_terms, _residual, _within, _worst_envy, efx_factor, hat_d
+from .model import _EXACT, Allocation, Instance
 
 
 @dataclass(frozen=True)
 class FriendlyCertificate:
-    """Partition N0/NH plus lambda; weak selects the hat-d variant."""
+    """Partition N0/NH plus lambda, an int or a Fraction (anything else
+    raises BadRational); weak selects the hat-d variant."""
 
     lam: Fraction
     n0: frozenset
     nh: frozenset
     weak: bool = False
+
+    def __post_init__(self):
+        if isinstance(self.lam, bool) or not isinstance(self.lam, _EXACT):
+            raise BadRational(f"lambda = {self.lam!r} is not an int or Fraction")
 
     @property
     def mode(self) -> str:
@@ -61,18 +67,17 @@ class Violation:
 
 class _State:
     """One integer allocation state for a framework run: the owner list,
-    the bundles (unsorted lists), the cross sums cross[i][h], the cost of
-    bundle h under agent i's integer row, and, once `settle` has run, the
-    EFX numerators nums[i], X_i under row i less its cheapest chore. A
-    move or a swap updates them in place to what `fairness._envy_terms`
-    gives for the new allocation."""
+    the bundles (unsorted lists), and the EFX numerators nums[i] and cross
+    sums cross[i][h] that `fairness._envy_terms` gives for the allocation:
+    X_i under agent i's integer row less its cheapest chore, and the cost
+    of bundle h under that row. A swap updates them in place. A move
+    updates all but nums, which `settle` then recomputes."""
 
     def __init__(self, rows, X: Allocation):
         self.rows = rows
-        self.cross = _cross_sums(rows, X)  # rejects an X of another shape first
+        self.nums, self.cross = _envy_terms(rows, X)  # rejects an X of another shape first
         self.owners = list(X.owners)
         self.bundles = X.bundles()
-        self.nums = None
 
     def allocation(self) -> Allocation:
         return Allocation(len(self.rows), tuple(self.owners))
@@ -90,8 +95,8 @@ class _State:
             c[i] += row[j]
 
     def settle(self):
-        """Compute every numerator from the bundles."""
-        self.nums = [_residual(row, b) for row, b in zip(self.rows, self.bundles)]
+        """Recompute every numerator from the bundles, in place."""
+        self.nums[:] = [_residual([row[j] for j in b]) for row, b in zip(self.rows, self.bundles)]
 
     def swap(self, i: int, l: int, j_i: int):
         """The (i, l) chore swap in place: columns i and l of the cross
@@ -104,12 +109,12 @@ class _State:
             c[i] += c[l] - row[j_i]
             c[l] = row[j_i]
         for a in (i, l):
-            self.nums[a] = _residual(rows[a], bundles[a])
+            self.nums[a] = _residual([rows[a][j] for j in bundles[a]])
 
 
 def _certify(inst: Instance, X: Allocation, cert: FriendlyCertificate):
     """(violations, state, desig): the violations of `validate_certificate`,
-    the `_State` of X and each agent's designated chore."""
+    the `_State` of X and the designated chore of each agent in N_H."""
     violations: List[Violation] = []
     agents = frozenset(range(inst.n))
     if cert.n0 | cert.nh != agents or cert.n0 & cert.nh:
@@ -118,44 +123,47 @@ def _certify(inst: Instance, X: Allocation, cert: FriendlyCertificate):
         )
     rows = inst.integer_rows()
     state = _State(rows, X)
-    cross, bundles = state.cross, state.bundles
-    for i, b in enumerate(bundles):
-        if not b:
+    nums, cross, bundles = state.nums, state.cross, state.bundles
+    for i, c in enumerate(cross):
+        if c[i] == 0:  # values are positive, so only an empty bundle costs 0
             raise EmptyBundle(i)
     scale = inst.row_scales()
-    desig = [designated_chore(inst, i, b) for i, b in enumerate(bundles)]
     n0, nh = sorted(cert.n0), sorted(cert.nh)
-
-    def weak_lhs(i, chores):
-        """hat-d_i(chores) times scale[i], an integer."""
-        h = hat_d(inst, i, chores)
-        return h.numerator * scale[i] // h.denominator
+    # Bundles are in index order, so max takes the lowest-index argmax.
+    desig = {i: max(bundles[i], key=rows[i].__getitem__) for i in nh}
 
     def check(cond, i, lhs, coef, others, on_row):
         """Append a Violation for each k in others with lhs > coef *
-        on_row[k], all on row i's scale."""
+        on_row[k], all on row i's scale, for coef = a / b, b > 0."""
         if not others:
             return
-        tight = (min if coef >= 0 else max)(on_row[k] for k in others)
-        if lhs * coef.denominator <= coef.numerator * tight:
+        a, b = coef
+        tight = (min if a >= 0 else max)(map(on_row.__getitem__, others))
+        if lhs * b <= a * tight:
             return
         s = scale[i]
         for k in others:
-            if lhs * coef.denominator > coef.numerator * on_row[k]:
+            if lhs * b > a * on_row[k]:
                 violations.append(
-                    Violation(cond, i, k, Fraction(lhs, s), coef * Fraction(on_row[k], s))
+                    Violation(cond, i, k, Fraction(lhs, s), Fraction(a * on_row[k], b * s))
                 )
 
+    lam = (cert.lam.numerator, cert.lam.denominator)
+    lam1 = (lam[0] - lam[1], lam[1])
     for i in n0:
-        lhs = weak_lhs(i, bundles[i]) if cert.weak else cross[i][i]
-        check("i", i, lhs, cert.lam, n0, cross[i])
-        check("ii", i, lhs, cert.lam, nh, [rows[i][j] for j in desig])
-    lam1 = cert.lam - 1
+        # nums[i] is hat-d_i(X_i) on row i's scale.
+        lhs = nums[i] if cert.weak else cross[i][i]
+        check("i", i, lhs, lam, n0, cross[i])
+        check("ii", i, lhs, lam, nh, {k: rows[i][j] for k, j in desig.items()})
     for i in nh:
         residual = [j for j in bundles[i] if j != desig[i]]
-        lhs = weak_lhs(i, residual) if cert.weak else cross[i][i] - rows[i][desig[i]]
+        if cert.weak:
+            h = hat_d(inst, i, residual)
+            lhs = h.numerator * scale[i] // h.denominator
+        else:
+            lhs = cross[i][i] - rows[i][desig[i]]
         check("iii", i, lhs, lam1, n0, cross[i])
-        check("iv", i, lhs, lam1, nh, [rows[i][j] for j in desig])
+        check("iv", i, lhs, lam1, nh, {k: rows[i][j] for k, j in desig.items()})
         if cert.weak and residual:
             key = rows[i].__getitem__
             res_min, low = min(residual, key=key), min(bundles[i], key=key)
@@ -245,10 +253,13 @@ def run_framework(
     on the integer rescaling of each row, which leaves lambda-EFX unchanged.
 
     One integer allocation state (`_State`) serves the whole run: the
-    certificate check builds it with the bundles, cross sums and
-    designated chores of Y, each Phase-1 pick moves one chore (two cross
-    columns, O(n)), and each swap updates the state of i and l. Only the
-    final factor is recomputed from scratch, by `efx_factor`.
+    certificate check builds it with the bundles, numerators and cross
+    sums of Y, and the designated chores of the N_H agents. Each Phase-1
+    pick moves one chore (two cross columns, O(n)), the numerators are
+    settled once after Phase 1, and each swap updates the state of i and
+    l. With N_H empty neither phase has work, and Y is the Phase-1
+    allocation and the result. Only the final factor is recomputed from
+    scratch, by `efx_factor`.
     """
     violations, state, desig = _certify(inst, Y, cert)
     if violations:
@@ -259,7 +270,7 @@ def run_framework(
     order = sorted(cert.nh)  # NH re-indexed as [r] in ascending agent order
 
     # Phase 1: pull out the designated chores and re-allocate round-robin.
-    pool = sorted(desig[i] for i in order)  # min takes the first, lowest index
+    pool = sorted(desig.values())  # min takes the first, lowest index
     picked = {}
     for i in order:
         j = min(pool, key=rows[i].__getitem__)
@@ -267,7 +278,7 @@ def run_framework(
         state.move(j, i)
         picked[i] = j
         trace.picks.append((i, j))
-    X = trace.phase1 = state.allocation()
+    X = trace.phase1 = state.allocation() if order else Y
 
     # Pick-order dominance: each agent weakly prefers her own pick to
     # every later agent's pick.
@@ -277,16 +288,17 @@ def run_framework(
             if rows[i][picked[i]] > rows[i][picked[h]]:
                 trace.flags.append(f"pick-dominance i={i + 1} h={h + 1}")
 
-    # Phase 2: chore swaps in pick order. A swap updates nums and cross in
-    # place.
-    state.settle()
+    # Phase 2: chore swaps in pick order, on the numerators settled after
+    # Phase 1. A swap updates nums and cross in place.
     nums, cross = state.nums, state.cross
 
     def lam_efx(agents) -> bool:
         return _within(_worst_envy(nums, cross, agents), lam)
 
     swapped = set()
-    inv3 = lam_efx(cert.n0)
+    if order:
+        state.settle()
+        inv3 = lam_efx(cert.n0)
     for pos, i in enumerate(order):
         # Invariant (i): agents at or after this position have not swapped.
         inv1 = all(h not in swapped for h in order[pos:])

@@ -15,7 +15,7 @@ from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple, Union
 
 from .errors import EmptyBundle, NonPositivePrice, PriceLengthMismatch
-from .model import Allocation, Instance, integer_row
+from .model import Allocation, Instance, _scaled_row
 
 
 def mpb_ratio(row, price) -> Tuple[int, int]:
@@ -30,15 +30,20 @@ def mpb_ratio(row, price) -> Tuple[int, int]:
     return a, b
 
 
+def _positive_prices(m: int, P: Sequence[int], unit: int) -> Sequence[int]:
+    """P, the integer prices P[j] / unit with unit > 0, after checking that
+    there are m of them and that all are positive."""
+    if len(P) != m:
+        raise PriceLengthMismatch(f"expected {m} prices, got {len(P)}")
+    if min(P, default=1) <= 0:
+        raise NonPositivePrice(f"prices must be positive, got {Fraction(min(P), unit)}")
+    return P
+
+
 def _integer_prices(inst: Instance, p: Sequence[Fraction]) -> list:
     """p rescaled to positive integers; raises on a wrong length or a
     price that is not positive."""
-    if len(p) != inst.m:
-        raise PriceLengthMismatch(f"expected {inst.m} prices, got {len(p)}")
-    P = integer_row(p)  # same signs as p
-    if any(v <= 0 for v in P):
-        raise NonPositivePrice(f"prices must be positive, got {min(p)}")
-    return P
+    return _positive_prices(inst.m, *_scaled_row(p))  # same signs as p
 
 
 @dataclass(frozen=True)

@@ -237,12 +237,8 @@ def parse_instance(text: str) -> Instance:
     Comment lines start with '#'. The first data line is "n m"; then n
     lines each with m positive rationals ("a" or "a/b").
     """
-    lines = text.splitlines()
-    data = [
-        (idx + 1, ln.strip())
-        for idx, ln in enumerate(lines)
-        if ln.strip() and not ln.strip().startswith("#")
-    ]
+    lines = enumerate(map(str.strip, text.splitlines()), 1)
+    data = [(idx, ln) for idx, ln in lines if ln and ln[0] != "#"]
     if not data:
         raise MalformedHeader("empty instance file")
     hline, header = data[0]
@@ -279,9 +275,9 @@ def parse_instance(text: str) -> Instance:
                         f"disutility must be positive, got {tok}", lno, col + 1
                     )
                 values[tok] = v.numerator if v.denominator == 1 else v
-        rows.append([values[tok] for tok in toks])
-    if all(type(v) is int for v in values.values()):
-        return Instance._from_rows(tuple(map(tuple, rows)), (1,) * n)
+        rows.append(tuple([values[tok] for tok in toks]))
+    if set(map(type, values.values())) == {int}:
+        return Instance._from_rows(tuple(rows), (1,) * n)
     return Instance._from_rows(*_scaled_rows(rows))
 
 

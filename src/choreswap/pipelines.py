@@ -14,6 +14,7 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import sub
 from typing import List, Optional, Sequence, Tuple
 
 from .errors import (
@@ -28,7 +29,7 @@ from .errors import (
 )
 from .fairness import DEFAULT_BUDGET, efx_factor
 from .framework import FriendlyCertificate, SwapTrace, chore_swap, run_framework
-from .market import _integer_prices, is_mpb_allocation, mpb_holds, mpb_ratio
+from .market import _positive_prices, is_mpb_allocation, mpb_holds, mpb_ratio
 from .model import Allocation, Instance, allocation_from_bundles
 
 MARKET_STEPS_PER_NM = 50  # the market loop stops past 50 * n * m steps
@@ -36,10 +37,20 @@ MARKET_STEPS_PER_NM = 50  # the market loop stops past 50 * n * m steps
 
 @dataclass(frozen=True)
 class Pef1Solution:
-    """An integral MPB allocation that is price-EF1, with its prices."""
+    """An integral MPB allocation that is price-EF1, with its prices as
+    integers P and their unit: chore j is priced P[j] / unit. The market
+    loop's unit is its least price, so the least of p is 1."""
 
     x: Allocation
-    p: tuple
+    P: tuple
+    unit: int
+
+    @property
+    def p(self) -> tuple:
+        """The prices P[j] / unit as Fractions."""
+        if self.unit == 1:
+            return tuple(map(Fraction, self.P))
+        return tuple(Fraction(v, self.unit) for v in self.P)
 
 
 @dataclass
@@ -89,21 +100,21 @@ def search_pef1_mpb(inst: Instance) -> Pef1Solution:
 
     The loop is not known to terminate on every instance: more than
     MARKET_STEPS_PER_NM * n * m steps raises PostconditionViolated.
-    Prices are normalized so the least is 1.
+    The integer prices are returned with the least of them as their unit.
     """
     n, m = inst.n, inst.m
     rows = inst.common_rows()
-    owners = [col.index(min(col)) for col in zip(*rows)]
-    price = [rows[o][j] for j, o in enumerate(owners)]
-    earn = [0] * n
-    for j, o in enumerate(owners):
-        earn[o] += price[j]
+    cols = list(zip(*rows))
+    price = list(map(min, cols))
+    owners = list(map(tuple.index, cols, price))  # the first agent at the least value
+    earn, top = [0] * n, [0] * n  # each bundle's total and highest price
+    for p, o in zip(price, owners):
+        earn[o] += p
+        if p > top[o]:
+            top[o] = p
     for step in itertools.count():
         least = min(earn)
-        top = [0] * n
-        for j, o in enumerate(owners):
-            top[o] = max(top[o], price[j])
-        if all(e - t <= least for e, t in zip(earn, top)):
+        if max(map(sub, earn, top)) <= least:
             break
         if step == MARKET_STEPS_PER_NM * n * m:
             raise PostconditionViolated(
@@ -132,6 +143,9 @@ def search_pef1_mpb(inst: Instance) -> Pef1Solution:
             owners[j] = i
             earn[h] -= price[j]
             earn[i] += price[j]
+            top[i] = max(top[i], price[j])
+            if price[j] == top[h]:
+                top[h] = max((p for p, o in zip(price, owners) if o == h), default=0)
             continue
         # beta = max a * p_j / (b * row[j]) over inside agents (a / b their
         # MPB ratio) and chores j held outside.
@@ -141,21 +155,21 @@ def search_pef1_mpb(inst: Instance) -> Pef1Solution:
             for j, h in enumerate(owners):
                 if not inside[h] and a * price[j] * den > num * b * row[j]:
                     num, den = a * price[j], b * row[j]
-        price = [p * (num if inside[o] else den) for p, o in zip(price, owners)]
-        earn = [e * (num if inside[i] else den) for i, e in enumerate(earn)]
+        factor = [num if x else den for x in inside]  # per agent, before dividing by g
+        price = [p * factor[o] for p, o in zip(price, owners)]
         g = math.gcd(*price)
         price = [p // g for p in price]
-        earn = [e // g for e in earn]
-    least = min(price, default=1)
-    return Pef1Solution(Allocation(n, tuple(owners)), tuple(Fraction(p, least) for p in price))
+        earn = [e * f // g for e, f in zip(earn, factor)]
+        top = [t * f // g for t, f in zip(top, factor)]
+    return Pef1Solution(Allocation(n, tuple(owners)), tuple(price), min(price, default=1))
 
 
-def _require_pef1_mpb(inst: Instance, sol: Pef1Solution) -> Tuple[list, int, list]:
-    """The gate on a start: its prices make it MPB and pEF1. Returns
-    (P, rho, top): the prices rescaled once to positive integers, on which
-    the gate and every later price comparison of the pipeline run, the
-    least earning and each bundle's highest price (0 if empty), both on
-    P's scale. Both certificate rules read rho and top to put agents in N_H.
+def _require_pef1_mpb(inst: Instance, sol: Pef1Solution) -> Tuple[int, list]:
+    """The gate on a start: its integer prices sol.P, checked for length
+    and sign, make it MPB and pEF1. Returns (rho, top): the least earning
+    and each bundle's highest price (0 if empty), on sol.P's scale, on
+    which every later price comparison of the pipeline runs. Both
+    certificate rules read rho and top to put agents in N_H.
 
     pEF1 is `is_pefk(inst, X, p, 1, 1)`: each i whose earning less its
     top price, a_i, is positive has a_i <= earn_h for every h != i, and an
@@ -166,18 +180,18 @@ def _require_pef1_mpb(inst: Instance, sol: Pef1Solution) -> Tuple[list, int, lis
     empty bundle, where rho = 0; and with n = 1 both pass, as a_1 <= earn_1.
     """
     sol.x.check_shape(inst.n, inst.m)
-    P = _integer_prices(inst, sol.p)
+    P = _positive_prices(inst.m, sol.P, sol.unit)
     if not mpb_holds(inst.integer_rows(), P, sol.x.owners):
         raise InvariantViolation("solution is not an MPB allocation")
-    earn = [0] * inst.n
-    top = [0] * inst.n
+    earn, top = [0] * inst.n, [0] * inst.n
     for p, o in zip(P, sol.x.owners):
         earn[o] += p
-        top[o] = max(top[o], p)
+        if p > top[o]:
+            top[o] = p
     rho = min(earn)
-    if max(e - t for e, t in zip(earn, top)) > rho:
+    if max(map(sub, earn, top)) > rho:
         raise InvariantViolation("solution is not pEF1")
-    return P, rho, top
+    return rho, top
 
 
 def certificate_from_pef1(inst: Instance, sol: Pef1Solution) -> FriendlyCertificate:
@@ -185,13 +199,13 @@ def certificate_from_pef1(inst: Instance, sol: Pef1Solution) -> FriendlyCertific
     earner's income. Yields a valid strict certificate with lambda = 2.
 
     The split compares the integers rho and top of the pEF1+MPB gate: its
-    prices P are sol.p times one positive constant, which leaves `top >
+    prices sol.P are sol.p times the positive unit, which leaves `top >
     rho` unchanged. The certificate holds for `inst` as given: every
     certificate inequality compares one agent's own values, so scaling a
     row (as by 1/alpha_i, which turns MPB values into prices) changes
     none of them.
     """
-    _, rho, top = _require_pef1_mpb(inst, sol)
+    rho, top = _require_pef1_mpb(inst, sol)
     nh = frozenset(i for i, t in enumerate(top) if t > rho)
     return FriendlyCertificate(Fraction(2), frozenset(range(inst.n)) - nh, nh, weak=False)
 
@@ -211,23 +225,22 @@ def solve_2efx(inst: Instance) -> SolveResult:
 
 
 def _bivalued_candidate(
-    inst: Instance, k: Fraction, sol: Pef1Solution, P: list, rho: int, top: list
+    inst: Instance, k: Fraction, sol: Pef1Solution, rho: int, top: list
 ) -> SolveResult:
     """Run a {1,k}-priced pEF1+MPB start through the bivalued pipeline,
-    with (P, rho, top) what the pEF1+MPB gate returned for it.
+    with (rho, top) what the pEF1+MPB gate returned for it.
 
-    P is sol.p times one positive integer `one`, price 1 on P's scale
-    (min(P), as the market loop leaves the least price at 1). The least
-    earning rho and each bundle's highest price t are compared with k as
-    integers: rho * k.den against k.num * one. A Phase-1 pick or a swap
-    that breaks MPB under P, which would cost the PO certificate, raises
+    sol.unit is price 1 on the scale of sol.P. The least earning rho and
+    each bundle's highest price t are compared with k as integers: rho *
+    k.den against k.num * unit. A Phase-1 pick or a swap that breaks MPB
+    under sol.P, which would cost the PO certificate, raises
     PostconditionViolated.
     """
     lam = 2 - 1 / k
     trace = _trivial_trace(inst, sol.x, "weak")
     if trace.final_factor <= lam:
         return SolveResult(sol.x, trace, "bivalued", prices=sol.p, notes=["early-exit"])
-    one = P[0] * sol.p[0].denominator // sol.p[0].numerator
+    one = sol.unit
     if not rho * k.denominator < k.numerator * one:
         raise RhoNotLessThanK(
             f"least earning {Fraction(rho, one)} >= k = {k} contradicts the bivalued derivation"
@@ -240,7 +253,7 @@ def _bivalued_candidate(
     for swap in trace.swaps:
         steps.append(chore_swap(steps[-1], *swap))
     rows = inst.integer_rows()
-    if not all(mpb_holds(rows, P, step.owners) for step in steps):
+    if not all(mpb_holds(rows, sol.P, step.owners) for step in steps):
         raise PostconditionViolated(
             "the swap framework broke MPB under the start's prices (finding)", trace
         )
@@ -261,7 +274,7 @@ def solve_bivalued(inst: Instance) -> SolveResult:
     if k is None:
         raise NotBivalued("instance has more than two distinct disutility values")
     sol = search_pef1_mpb(inst)
-    if not all(p == 1 or p == k for p in sol.p):
+    if not all(v == sol.unit or v * k.denominator == k.numerator * sol.unit for v in sol.P):
         span = ", ".join(map(str, sorted(set(sol.p))))
         raise PostconditionViolated(f"market prices {{{span}}} are not in {{1, {k}}} (finding)")
     return _bivalued_candidate(inst, k, sol, *_require_pef1_mpb(inst, sol))

@@ -1,11 +1,14 @@
 """Shared test fixtures: the three worked instances, a row rescaling
-helper and a builder for rounded market-equilibrium inputs feeding the
-4-EFX pipeline."""
+helper, a pEF1+MPB start from Fraction prices and a builder for rounded
+market-equilibrium inputs feeding the 4-EFX pipeline."""
 
+import math
 import random
 from fractions import Fraction
 
 from choreswap import Allocation, Instance
+from choreswap.model import integer_row
+from choreswap.pipelines import Pef1Solution
 
 
 def F(a, b=1):
@@ -19,6 +22,13 @@ def make_instance(rows):
 def scale_rows(inst, factors):
     """A copy of inst with row i multiplied by factors[i] (> 0 each)."""
     return Instance(tuple(tuple(v * f for v in row) for row, f in zip(inst.d, factors)))
+
+
+def pef1_start(x, prices):
+    """A Pef1Solution pricing chore j at prices[j] (ints or Fractions): the
+    prices times the lcm of their denominators, with that lcm as unit."""
+    p = [Fraction(v) for v in prices]
+    return Pef1Solution(x, tuple(integer_row(p)), math.lcm(*[v.denominator for v in p]))
 
 
 def inst_i1():

@@ -20,6 +20,8 @@ from choreswap.errors import (
 from choreswap.model import UniformInt
 from fractions import Fraction
 
+from conftest import pef1_start
+
 I1 = "2 3\n1 1 10\n1 1 10\n"
 I2 = "2 4\n1 2 3 4\n4 3 2 1\n"
 DOM = "2 2\n1 10\n10 1\n"
@@ -103,7 +105,7 @@ def test_solve_pef1_i1_with_outputs(tmp_path, capsys):
 
 
 def test_solve_pef1_without_start_is_a_finding(tmp_path, capsys, monkeypatch):
-    bad = pipelines.Pef1Solution(choreswap.Allocation(2, (1, 0, 0)), (Fraction(1),) * 3)
+    bad = pef1_start(choreswap.Allocation(2, (1, 0, 0)), (1, 1, 1))
     monkeypatch.setattr(pipelines, "search_pef1_mpb", lambda inst: bad)
     inst = write(tmp_path, "i1.txt", I1)
     assert main(["solve", inst, "--method", "pef1"]) == 2
@@ -135,8 +137,7 @@ def test_solve_bivalued_needs_no_search_budget(tmp_path, capsys):
 
 
 def test_solve_exits_2_when_a_start_fails_its_gate(tmp_path, capsys, monkeypatch):
-    prices = (Fraction(1), Fraction(1), Fraction(2))
-    bad = pipelines.Pef1Solution(choreswap.Allocation(2, (0, 0, 0)), prices)
+    bad = pef1_start(choreswap.Allocation(2, (0, 0, 0)), (1, 1, 2))
     monkeypatch.setattr(pipelines, "search_pef1_mpb", lambda inst: bad)
     inst = write(tmp_path, "biv.txt", "2 3\n1 1 2\n1 1 2\n")
     assert main(["solve", inst, "--method", "bivalued"]) == 2
@@ -406,8 +407,20 @@ def test_bench_golden_pinned_seeds(tmp_path, capsys):
     ]
 
 
-def test_missing_file_io_error(tmp_path):
-    assert main(["solve", str(tmp_path / "nope.txt")]) == 1
+def test_missing_file_io_error(tmp_path, capsys):
+    # A missing file, and a file that is not UTF-8 text, for every
+    # command that reads one.
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(b"\xff\xfe2 2\n")
+    for argv in (
+        ["solve", str(tmp_path / "nope.txt")],
+        ["solve", str(bad)],
+        ["check", str(bad), "--alloc", str(bad), "--props", "efx:2"],
+        ["bench", str(tmp_path), "--methods", "auto"],
+    ):
+        assert main(argv) == 1, argv
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("choreswap: io error: "), argv
 
 
 def test_usage_error_exit_code():

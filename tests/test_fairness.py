@@ -362,9 +362,10 @@ def _naive_csv(inst, x, k):
 
 def test_envy_terms_match_per_bundle_sums():
     # Integer rows, price rows (is_pefk, is_pefx) and Fraction rows (envy_report),
-    # on allocations that often leave a bundle empty.
+    # on allocations that often leave a bundle empty; efx_factor and
+    # is_alpha_efx against the naive worst ratio, Infinite past an empty bundle.
     rng = random.Random(61)
-    empty = 0
+    empty = infinite = 0
     for trial in range(300):
         n = rng.randint(1, 4)
         m = rng.randint(0, 7)
@@ -375,6 +376,15 @@ def test_envy_terms_match_per_bundle_sums():
         empty += not all(x.bundles())
         p = tuple(Fraction(rng.randint(1, 9), rng.randint(1, 4)) for _ in range(m))
         alpha = Fraction(rng.randint(0, 30), 10)
+        nums, cross = _naive_terms(inst.d, x, None)
+        ratios = [
+            0 if nums[i] == 0 else INFINITE if cross[i][h] == 0 else nums[i] / cross[i][h]
+            for i in range(n) for h in range(n) if h != i
+        ]
+        factor = max(ratios, default=0)
+        infinite += factor is INFINITE
+        assert efx_factor(inst, x) == factor
+        assert is_alpha_efx(inst, x, alpha) == (factor <= alpha)
         for k in (None, 1, 2, 3):
             for rows in (inst.integer_rows(), [integer_row(p)] * n, inst.d):
                 assert _envy_terms(rows, x, k) == _naive_terms(rows, x, k)
@@ -387,4 +397,4 @@ def test_envy_terms_match_per_bundle_sums():
                 assert is_pefx(inst, x, p, alpha) == want
             else:
                 assert is_pefk(inst, x, p, alpha, k) == want
-    assert empty > 50, empty
+    assert empty > 50 and infinite > 25, (empty, infinite)

@@ -16,6 +16,7 @@ from choreswap import (
     validate_certificate,
 )
 from choreswap.errors import (
+    BadRational,
     CertificateInvalid,
     ChoreNotHeld,
     EmptyBundle,
@@ -68,6 +69,10 @@ def test_validate_partition_and_empty_bundle():
         validate_certificate(inst_i1(), Allocation(2, (0, 0, 0)), cert(2, {0}, {1}))
     with pytest.raises(IncompleteAllocation):  # raised by the constructor
         Allocation(2, (0, None, 1))
+    # An inexact lambda is rejected when the certificate is built.
+    for lam in (2.0, True, "2"):
+        with pytest.raises(BadRational):
+            FriendlyCertificate(lam, frozenset({0, 1}), frozenset())
 
 
 def test_designated_chore_tie_break():

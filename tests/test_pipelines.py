@@ -31,7 +31,7 @@ from choreswap.fairness import is_alpha_efx, is_pefk, is_po_bruteforce
 from choreswap.market import is_mpb_allocation
 from choreswap.model import Bivalued, UniformInt
 from choreswap.oracle import verify_trace
-from choreswap.pipelines import Pef1Solution, certificate_from_pef1
+from choreswap.pipelines import certificate_from_pef1
 
 from conftest import (
     HALF,
@@ -39,6 +39,7 @@ from conftest import (
     inst_i1,
     inst_i2,
     make_instance,
+    pef1_start,
     rounded_fixture,
     scale_rows,
 )
@@ -61,7 +62,7 @@ def test_search_pef1_mpb_single_agent():
 
 def test_certificate_from_pef1_i1():
     inst = inst_i1()
-    sol = Pef1Solution(Allocation(2, (0, 0, 1)), (Fraction(1), Fraction(1), Fraction(10)))
+    sol = pef1_start(Allocation(2, (0, 0, 1)), (1, 1, 10))
     cert = certificate_from_pef1(inst, sol)
     assert cert.lam == 2 and not cert.weak
     assert cert.n0 == frozenset({0}) and cert.nh == frozenset({1})
@@ -70,7 +71,7 @@ def test_certificate_from_pef1_i1():
 
 def test_certificate_from_pef1_all_n0():
     inst = make_instance([[2, 2, 3], [2, 2, 3]])
-    sol = Pef1Solution(Allocation(2, (1, 1, 0)), (Fraction(2), Fraction(2), Fraction(3)))
+    sol = pef1_start(Allocation(2, (1, 1, 0)), (2, 2, 3))
     cert = certificate_from_pef1(inst, sol)
     assert cert.nh == frozenset()
     assert validate_certificate(inst, sol.x, cert) == []
@@ -78,14 +79,14 @@ def test_certificate_from_pef1_all_n0():
 
 def test_certificate_from_pef1_singletons():
     inst = make_instance([[1, 5], [5, 1]])
-    sol = Pef1Solution(Allocation(2, (0, 1)), (Fraction(1), Fraction(1)))
+    sol = pef1_start(Allocation(2, (0, 1)), (1, 1))
     cert = certificate_from_pef1(inst, sol)
     assert cert.nh == frozenset()
 
 
 def test_certificate_from_pef1_rejects_bad_solution():
     inst = make_instance([[1, 5], [5, 1]])
-    bad = Pef1Solution(Allocation(2, (1, 0)), (Fraction(1), Fraction(1)))
+    bad = pef1_start(Allocation(2, (1, 0)), (1, 1))
     with pytest.raises(InvariantViolation):
         certificate_from_pef1(inst, bad)
 
@@ -113,7 +114,7 @@ def test_solve_2efx_fewer_chores_than_agents():
 
 def test_solve_2efx_raises_without_start(monkeypatch):
     # A start that fails the pEF1+MPB gate is a finding, not a result.
-    bad = Pef1Solution(Allocation(2, (1, 0, 0)), (Fraction(1),) * 3)
+    bad = pef1_start(Allocation(2, (1, 0, 0)), (1, 1, 1))
     monkeypatch.setattr(pipelines, "search_pef1_mpb", lambda inst: bad)
     with pytest.raises(InvariantViolation, match="^solution is not an MPB allocation$"):
         solve_2efx(inst_i1())
@@ -152,7 +153,7 @@ def test_solve_bivalued_scaled_values():
 def test_solve_bivalued_raises_without_start(monkeypatch):
     # A start that fails the pEF1+MPB gate is a finding, not a result.
     inst = make_instance([[1, 1, 2], [1, 1, 2]])
-    bad = Pef1Solution(Allocation(2, (0, 0, 0)), (Fraction(1), Fraction(1), Fraction(2)))
+    bad = pef1_start(Allocation(2, (0, 0, 0)), (1, 1, 2))
     monkeypatch.setattr(pipelines, "search_pef1_mpb", lambda inst: bad)
     with pytest.raises(InvariantViolation, match="^solution is not pEF1$"):
         solve_bivalued(inst)
@@ -161,7 +162,7 @@ def test_solve_bivalued_raises_without_start(monkeypatch):
 def test_solve_bivalued_rejects_a_start_priced_outside_1_k(monkeypatch):
     # An MPB, pEF1 start whose prices are not in {1, k} is a finding.
     inst = make_instance([[1, 2], [2, 1]])
-    off = Pef1Solution(Allocation(2, (0, 1)), (Fraction(1), Fraction(3, 2)))
+    off = pef1_start(Allocation(2, (0, 1)), (1, Fraction(3, 2)))
     assert is_mpb_allocation(inst, off.x, off.p)
     monkeypatch.setattr(pipelines, "search_pef1_mpb", lambda inst: off)
     with pytest.raises(PostconditionViolated, match=r"^market prices \{1, 3/2\} are not in \{1, 2\} \(finding\)$"):
@@ -262,8 +263,8 @@ def _gate_starts(rng):
         owners[j] = rng.choice([i for i in range(n) if i != owners[j]])
         p[rng.randrange(m)] *= rng.choice([Fraction(3, 2), 2, Fraction(5, 2)])
         yield inst, sol
-        yield inst, Pef1Solution(Allocation(n, tuple(owners)), sol.p)
-        yield inst, Pef1Solution(sol.x, tuple(p))
+        yield inst, pef1_start(Allocation(n, tuple(owners)), sol.p)
+        yield inst, pef1_start(sol.x, p)
 
 
 def test_integer_pef1_path_matches_the_fraction_checkers(monkeypatch):
@@ -331,7 +332,7 @@ def test_solve_bivalued_rejects_a_start_with_rho_at_least_k(monkeypatch, rows, o
     # Such a start is EFX-close enough to exit early, so the factor is
     # patched past 2 - 1/k to reach the rho test.
     inst = make_instance([[Fraction(v) for v in row] for row in rows])
-    start = Pef1Solution(Allocation(2, owners), tuple(Fraction(v) for v in prices))
+    start = pef1_start(Allocation(2, owners), [Fraction(v) for v in prices])
     monkeypatch.setattr(pipelines, "search_pef1_mpb", lambda inst: start)
     monkeypatch.setattr(pipelines, "efx_factor", lambda inst, X: Fraction(2))
     with pytest.raises(RhoNotLessThanK) as e:
