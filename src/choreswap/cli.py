@@ -169,8 +169,8 @@ def _run_method(inst, method: str, args) -> SolveResult:
     if method == "pef1":
         return solve_2efx(inst)
     if method == "er4":
-        alloc = parse_allocation(Path(args.alloc).read_text(), inst.n, inst.m)
-        prices = parse_prices(Path(args.prices).read_text(), inst.m)
+        alloc = parse_allocation(Path(args.alloc).read_text(encoding="utf-8"), inst.n, inst.m)
+        prices = parse_prices(Path(args.prices).read_text(encoding="utf-8"), inst.m)
         rounded, violations = validate_rounded_er(inst, alloc, prices)
         if rounded is None:
             raise RoundedInputInvalid(violations)
@@ -208,7 +208,7 @@ def cmd_gen(args) -> int:
 
 
 def cmd_solve(args) -> int:
-    inst = parse_instance(Path(args.instance).read_text())
+    inst = parse_instance(Path(args.instance).read_text(encoding="utf-8"))
     method = args.method
     if method == "auto":
         method = _pick_method(inst)
@@ -290,12 +290,12 @@ def _check_one(prop: str, inst, X: Allocation, p, nh_text, budget: int):
 
 
 def cmd_check(args) -> int:
-    inst = parse_instance(Path(args.instance).read_text())
-    X = parse_allocation(Path(args.alloc).read_text(), inst.n, inst.m)
+    inst = parse_instance(Path(args.instance).read_text(encoding="utf-8"))
+    X = parse_allocation(Path(args.alloc).read_text(encoding="utf-8"), inst.n, inst.m)
     p = None
     if args.prices is not None:
-        p = parse_prices(Path(args.prices).read_text(), inst.m)
-    nh_text = Path(args.cert).read_text() if args.cert is not None else None
+        p = parse_prices(Path(args.prices).read_text(encoding="utf-8"), inst.m)
+    nh_text = Path(args.cert).read_text(encoding="utf-8") if args.cert is not None else None
     all_ok = True
     for prop in args.props.split(","):
         prop = prop.strip()
@@ -330,7 +330,7 @@ def cmd_bench(args) -> int:
     verified = skipped = 0
     found = False
     for path in corpus:
-        inst = parse_instance(path.read_text())
+        inst = parse_instance(path.read_text(encoding="utf-8"))
         for method in methods:
             chosen = _pick_method(inst) if method == "auto" else method
             t0 = time.perf_counter()

@@ -119,9 +119,12 @@ def is_alpha_efk(inst: Instance, X: Allocation, alpha: Fraction, k: int) -> bool
 
 def _price_envy(inst: Instance, X: Allocation, p: Sequence[Fraction], k: Optional[int]):
     """_worst_envy of X under p rescaled to a positive integer row P, one
-    price per chore, which is every agent's cost row. The price length
-    and signs are checked before the shape of X."""
-    return _worst_envy(*_envy_terms([_integer_prices(inst, p)] * inst.n, X, k))
+    price per chore: the earnings serve as every agent's cross sums. The
+    price length and signs are checked before the shape of X."""
+    P = _integer_prices(inst, p)
+    X.check_shape(inst.n, inst.m)
+    own = [[P[j] for j in b] for b in X.bundles()]
+    return _worst_envy([_residual(vals, k) for vals in own], [list(map(sum, own))] * X.n)
 
 
 def is_pefk(

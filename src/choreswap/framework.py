@@ -129,8 +129,7 @@ def _certify(inst: Instance, X: Allocation, cert: FriendlyCertificate):
             raise EmptyBundle(i)
     scale = inst.row_scales()
     n0, nh = sorted(cert.n0), sorted(cert.nh)
-    # Bundles are in index order, so max takes the lowest-index argmax.
-    desig = {i: max(bundles[i], key=rows[i].__getitem__) for i in nh}
+    desig = {i: designated_chore(inst, i, bundles[i]) for i in nh}
 
     def check(cond, i, lhs, coef, others, on_row):
         """Append a Violation for each k in others with lhs > coef *

@@ -361,9 +361,10 @@ def _naive_csv(inst, x, k):
 
 
 def test_envy_terms_match_per_bundle_sums():
-    # Integer rows, price rows (is_pefk, is_pefx) and Fraction rows (envy_report),
-    # on allocations that often leave a bundle empty; efx_factor and
-    # is_alpha_efx against the naive worst ratio, Infinite past an empty bundle.
+    # Integer rows, price rows and Fraction rows (envy_report), on allocations
+    # that often leave a bundle empty; efx_factor and is_alpha_efx against the
+    # naive worst ratio, Infinite past an empty bundle, and is_pefk and
+    # is_pefx against the naive price envy.
     rng = random.Random(61)
     empty = infinite = 0
     for trial in range(300):
