@@ -44,8 +44,8 @@ from .market import InfeasibilityCycle, is_mpb_allocation, mpb_price_feasibility
 from .model import (
     INFINITE,
     Allocation,
-    data_tokens,
     generate_random,
+    parse_agents,
     parse_allocation,
     parse_distribution,
     parse_instance,
@@ -70,8 +70,20 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_FINDING = 2
 
-METHODS = ("auto", "pef1", "bivalued", "small-m", "er4")
-BUDGET_HELP = "allocations the brute-force PO check may walk, and couplings er4 may try"
+METHODS = ("auto", "pef1", "bivalued", "small-m")  # bench; solve also takes er4
+PO_BUDGET_HELP = "allocations the brute-force PO check may walk"
+
+# Each `check` property's usage: its ':' fields are the ones it takes.
+PROPS = {
+    "efx": "efx:L",
+    "efk": "efk:A:K",
+    "pefk": "pefk:A:K",
+    "pefx": "pefx:A",
+    "mpb": "mpb",
+    "po": "po",
+    "cert": "cert:L:strict|weak",
+}
+NEEDS_PRICES = ("pefk", "pefx", "mpb")
 
 class _Parser(argparse.ArgumentParser):
     """argparse exits 2 on usage errors; this surface reserves 2 for
@@ -97,16 +109,13 @@ def render_factor(x) -> str:
     return "inf" if x is INFINITE else str(x)
 
 
-def parse_nh_file(text: str, n: int) -> frozenset:
-    """Certificate companion file: space-separated 1-based agent indices
-    forming N_H; blank or comment-only means N_H is empty."""
-    nh = set()
-    for tok in data_tokens(text):
-        v = int(tok)
-        if not 1 <= v <= n:
-            raise ChoreSwapError(f"agent index {v} out of range 1..{n}")
-        nh.add(v - 1)
-    return frozenset(nh)
+def _read(path) -> str:
+    """A user file's text, which must be UTF-8; an OSError otherwise, and
+    either way the message names the file."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as e:
+        raise OSError(f"{path} is not UTF-8 text: {e}") from None
 
 
 def _report_row(
@@ -168,20 +177,23 @@ def _run_method(inst, method: str, args) -> SolveResult:
         return solve_bivalued(inst)
     if method == "pef1":
         return solve_2efx(inst)
-    if method == "er4":
-        alloc = parse_allocation(Path(args.alloc).read_text(encoding="utf-8"), inst.n, inst.m)
-        prices = parse_prices(Path(args.prices).read_text(encoding="utf-8"), inst.m)
-        rounded, violations = validate_rounded_er(inst, alloc, prices)
-        if rounded is None:
-            raise RoundedInputInvalid(violations)
-        return solve_4efx(inst, rounded, args.budget)
-    raise ChoreSwapError(f"unknown method {method!r}")
+    # er4, which only solve runs
+    alloc = parse_allocation(_read(args.alloc), inst.n, inst.m)
+    prices = parse_prices(_read(args.prices), inst.m)
+    rounded, violations = validate_rounded_er(inst, alloc, prices)
+    if rounded is None:
+        raise RoundedInputInvalid(violations)
+    return solve_4efx(inst, rounded, args.budget)
 
 
-def _require_er4_inputs(methods, args):
-    """Reject an er4 run without its rounded input as a usage error."""
-    if "er4" in methods and (args.alloc is None or args.prices is None):
-        raise ChoreSwapError("--method er4 requires --alloc and --prices")
+def _solve_row(name: str, inst, method: str, args):
+    """(res, row, ran): method run on inst, its CSV row with the run's
+    wall time, and under --verify whether the replay ran (else None)."""
+    t0 = time.perf_counter()
+    res = _run_method(inst, method, args)
+    ms = (time.perf_counter() - t0) * 1000
+    row = _report_row(name, method, res, inst, ms, args.budget)
+    return res, row, _verify(inst, res) if args.verify else None
 
 
 def cmd_gen(args) -> int:
@@ -208,19 +220,14 @@ def cmd_gen(args) -> int:
 
 
 def cmd_solve(args) -> int:
-    inst = parse_instance(Path(args.instance).read_text(encoding="utf-8"))
+    inst = parse_instance(_read(args.instance))
     method = args.method
     if method == "auto":
         method = _pick_method(inst)
-    _require_er4_inputs([method], args)
-    t0 = time.perf_counter()
+    if method == "er4" and (args.alloc is None or args.prices is None):
+        raise ChoreSwapError("--method er4 requires --alloc and --prices")
     try:
-        res = _run_method(inst, method, args)
-        ms = (time.perf_counter() - t0) * 1000
-        row = _report_row(args.instance, method, res, inst, ms, args.budget)
-        if args.verify:
-            ran = _verify(inst, res)
-            print("verify: ok" if ran else "verify: skipped (no framework run)", file=sys.stderr)
+        res, row, ran = _solve_row(args.instance, inst, method, args)
     except PostconditionViolated as e:
         print(f"solve: {e}", file=sys.stderr)
         if e.trace is not None:
@@ -232,6 +239,8 @@ def cmd_solve(args) -> int:
     except (NotBivalued, TooManyChores, RoundedInputInvalid) as e:
         print(f"solve: error: {e}", file=sys.stderr)
         return EXIT_USAGE
+    if args.verify:
+        print("verify: ok" if ran else "verify: skipped (no framework run)", file=sys.stderr)
     if args.out is not None:
         Path(args.out).write_text(serialize_allocation(res.x))
     if args.trace is not None:
@@ -243,28 +252,25 @@ def cmd_solve(args) -> int:
 
 def _check_one(prop: str, inst, X: Allocation, p, nh_text, budget: int):
     """Return (ok, detail) for one property token."""
-    parts = prop.split(":")
-    name = parts[0]
+    name, *fields = prop.split(":")
+    if name not in PROPS:
+        raise ChoreSwapError(f"unknown property {prop!r}")
+    if len(fields) != PROPS[name].count(":"):
+        raise ChoreSwapError(f"expected {PROPS[name]}")
+    if name in NEEDS_PRICES and p is None:
+        raise ChoreSwapError(f"{name} requires --prices")
+    if name == "cert" and nh_text is None:
+        raise ChoreSwapError("cert requires --cert")
     if name == "efx":
-        lam = parse_rational(parts[1])
-        ok = is_alpha_efx(inst, X, lam)
+        ok = is_alpha_efx(inst, X, parse_rational(fields[0]))
         return ok, f"factor {render_factor(efx_factor(inst, X))}"
     if name == "efk":
-        alpha, k = parse_rational(parts[1]), int(parts[2])
-        return is_alpha_efk(inst, X, alpha, k), ""
+        return is_alpha_efk(inst, X, parse_rational(fields[0]), int(fields[1])), ""
     if name == "pefk":
-        if p is None:
-            raise ChoreSwapError("pefk requires --prices")
-        alpha, k = parse_rational(parts[1]), int(parts[2])
-        return is_pefk(inst, X, p, alpha, k), ""
+        return is_pefk(inst, X, p, parse_rational(fields[0]), int(fields[1])), ""
     if name == "pefx":
-        if p is None:
-            raise ChoreSwapError("pefx requires --prices")
-        alpha = parse_rational(parts[1])
-        return is_pefx(inst, X, p, alpha), ""
+        return is_pefx(inst, X, p, parse_rational(fields[0])), ""
     if name == "mpb":
-        if p is None:
-            raise ChoreSwapError("mpb requires --prices")
         return is_mpb_allocation(inst, X, p), ""
     if name == "po":
         res = is_po_bruteforce(inst, X, budget)
@@ -274,36 +280,26 @@ def _check_one(prop: str, inst, X: Allocation, p, nh_text, budget: int):
         elif res.status == "budget-exceeded":
             detail = "budget exceeded"
         return res.is_po, detail
-    if name == "cert":
-        if nh_text is None:
-            raise ChoreSwapError("cert requires --cert")
-        lam = parse_rational(parts[1])
-        weak = parts[2] == "weak"
-        if parts[2] not in ("strict", "weak"):
-            raise ChoreSwapError(f"cert mode must be strict or weak, got {parts[2]!r}")
-        nh = parse_nh_file(nh_text, inst.n)
-        cert = FriendlyCertificate(lam, frozenset(range(inst.n)) - nh, nh, weak=weak)
-        violations = validate_certificate(inst, X, cert)
-        detail = "; ".join(str(v) for v in violations)
-        return not violations, detail
-    raise ChoreSwapError(f"unknown property {prop!r}")
+    lam = parse_rational(fields[0])
+    if fields[1] not in ("strict", "weak"):
+        raise ChoreSwapError(f"cert mode must be strict or weak, got {fields[1]!r}")
+    nh = frozenset(parse_agents(nh_text, inst.n))
+    cert = FriendlyCertificate(lam, frozenset(range(inst.n)) - nh, nh, weak=fields[1] == "weak")
+    violations = validate_certificate(inst, X, cert)
+    return not violations, "; ".join(str(v) for v in violations)
 
 
 def cmd_check(args) -> int:
-    inst = parse_instance(Path(args.instance).read_text(encoding="utf-8"))
-    X = parse_allocation(Path(args.alloc).read_text(encoding="utf-8"), inst.n, inst.m)
-    p = None
-    if args.prices is not None:
-        p = parse_prices(Path(args.prices).read_text(encoding="utf-8"), inst.m)
-    nh_text = Path(args.cert).read_text(encoding="utf-8") if args.cert is not None else None
+    inst = parse_instance(_read(args.instance))
+    X = parse_allocation(_read(args.alloc), inst.n, inst.m)
+    p = parse_prices(_read(args.prices), inst.m) if args.prices is not None else None
+    nh_text = _read(args.cert) if args.cert is not None else None
     all_ok = True
     for prop in args.props.split(","):
         prop = prop.strip()
-        if not prop:
-            continue
         try:
             ok, detail = _check_one(prop, inst, X, p, nh_text, args.budget)
-        except (ChoreSwapError, ValueError, IndexError) as e:
+        except (ChoreSwapError, ValueError) as e:
             print(f"check: error: {prop}: {e}", file=sys.stderr)
             return EXIT_USAGE
         suffix = f" {detail}" if detail else ""
@@ -321,7 +317,6 @@ def cmd_bench(args) -> int:
     for method in methods:
         if method not in METHODS:
             raise ChoreSwapError(f"unknown method {method!r}; choose from {', '.join(METHODS)}")
-    _require_er4_inputs(methods, args)
     corpus = sorted(Path(args.corpus).glob("*.txt"))
     rows: List[str] = []
     worst = None
@@ -330,18 +325,15 @@ def cmd_bench(args) -> int:
     verified = skipped = 0
     found = False
     for path in corpus:
-        inst = parse_instance(path.read_text(encoding="utf-8"))
+        inst = parse_instance(_read(path))
         for method in methods:
             chosen = _pick_method(inst) if method == "auto" else method
             t0 = time.perf_counter()
             try:
-                res = _run_method(inst, chosen, args)
-                ms = (time.perf_counter() - t0) * 1000
-                row = _report_row(path.name, chosen, res, inst, ms, args.budget)
-                if args.verify and _verify(inst, res):
-                    verified += 1
-                elif args.verify:
-                    skipped += 1
+                res, row, ran = _solve_row(path.name, inst, chosen, args)
+                if args.verify:
+                    verified += ran
+                    skipped += not ran
                 rows.append(row)
                 f = res.trace.final_factor
                 if worst is None or f > worst:
@@ -390,16 +382,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     s = sub.add_parser("solve", help="solve an instance and report")
     s.add_argument("instance")
-    s.add_argument(
-        "--method",
-        choices=METHODS,
-        default="auto",
-    )
+    s.add_argument("--method", choices=METHODS + ("er4",), default="auto")
     s.add_argument("--alloc", help="rounded input allocation (er4)")
     s.add_argument("--prices", help="rounded input prices (er4)")
     s.add_argument("--out", help="write the allocation here")
     s.add_argument("--trace", help="write the swap trace log here")
-    s.add_argument("--budget", type=int, default=DEFAULT_BUDGET, help=BUDGET_HELP)
+    s.add_argument(
+        "--budget", type=int, default=DEFAULT_BUDGET,
+        help=f"{PO_BUDGET_HELP}, and couplings er4 may try",
+    )
     s.add_argument("--verify", action="store_true", help="replay the trace independently")
     s.set_defaults(func=cmd_solve)
 
@@ -408,11 +399,7 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--alloc", required=True)
     c.add_argument("--prices")
     c.add_argument("--cert", help="file with 1-based N_H agent indices")
-    c.add_argument(
-        "--props",
-        required=True,
-        help="comma list: efx:L, efk:A:K, pefk:A:K, pefx:A, mpb, po, cert:L:strict|weak",
-    )
+    c.add_argument("--props", required=True, help="comma list: " + ", ".join(PROPS.values()))
     c.add_argument("--report", action="store_true", help="append the envy CSV report")
     c.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
     c.set_defaults(func=cmd_check)
@@ -421,9 +408,7 @@ def build_parser() -> argparse.ArgumentParser:
     b.add_argument("corpus")
     b.add_argument("--methods", required=True, help="comma list of methods")
     b.add_argument("--out", help="write the CSV here instead of stdout")
-    b.add_argument("--alloc")
-    b.add_argument("--prices")
-    b.add_argument("--budget", type=int, default=DEFAULT_BUDGET, help=BUDGET_HELP)
+    b.add_argument("--budget", type=int, default=DEFAULT_BUDGET, help=PO_BUDGET_HELP)
     b.add_argument("--verify", action="store_true", help="replay every trace independently")
     b.set_defaults(func=cmd_bench)
     return parser
@@ -437,7 +422,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     except ChoreSwapError as e:
         print(f"choreswap: error: {e}", file=sys.stderr)
         return EXIT_USAGE
-    except (OSError, UnicodeDecodeError) as e:  # a file that is not UTF-8 text
+    except OSError as e:  # `_read` names a file that is not UTF-8 text
         print(f"choreswap: io error: {e}", file=sys.stderr)
         return EXIT_USAGE
 

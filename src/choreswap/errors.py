@@ -16,10 +16,8 @@ class ParseError(ChoreSwapError):
     """Malformed input file; carries a 1-based line and column."""
 
     def __init__(self, message, line=None, col=None):
-        loc = ""
-        if line is not None:
-            loc = f" (line {line}" + (f", col {col}" if col is not None else "") + ")"
-        super().__init__(message + loc)
+        loc = ", ".join(f"{k} {v}" for k, v in (("line", line), ("col", col)) if v is not None)
+        super().__init__(f"{message} ({loc})" if loc else message)
         self.line = line
         self.col = col
 

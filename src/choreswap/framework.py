@@ -52,7 +52,7 @@ def designated_chore(inst: Instance, i: int, bundle) -> int:
 
 @dataclass(frozen=True)
 class Violation:
-    condition: str  # "partition", "empty-bundle", "i".."iv", "bundle-min"
+    condition: str  # "partition" or "i".."iv"
     agent: int
     other: Optional[int]
     lhs: object = None
@@ -155,21 +155,13 @@ def _certify(inst: Instance, X: Allocation, cert: FriendlyCertificate):
         check("i", i, lhs, lam, n0, cross[i])
         check("ii", i, lhs, lam, nh, {k: rows[i][j] for k, j in desig.items()})
     for i in nh:
-        residual = [j for j in bundles[i] if j != desig[i]]
         if cert.weak:
-            h = hat_d(inst, i, residual)
+            h = hat_d(inst, i, [j for j in bundles[i] if j != desig[i]])
             lhs = h.numerator * scale[i] // h.denominator
         else:
             lhs = cross[i][i] - rows[i][desig[i]]
         check("iii", i, lhs, lam1, n0, cross[i])
         check("iv", i, lhs, lam1, nh, {k: rows[i][j] for k, j in desig.items()})
-        if cert.weak and residual:
-            key = rows[i].__getitem__
-            res_min, low = min(residual, key=key), min(bundles[i], key=key)
-            if key(res_min) > key(low):
-                violations.append(
-                    Violation("bundle-min", i, None, inst.d[i][res_min], inst.d[i][low])
-                )
     return violations, state, desig
 
 
@@ -179,15 +171,16 @@ def validate_certificate(
     """Check every certificate inequality exactly; empty list means Valid.
 
     Strict mode checks the four friendly conditions with d_i on the left;
-    weak mode uses hat-d on the left and additionally requires, for each
-    agent in NH with a non-singleton bundle, that her cheapest bundle
-    chore lies in the residual S_i. A condition compares one left-hand
-    side with coef * v_k over agents k, so all pairs hold iff the
-    tightest does (least v_k if coef >= 0, else greatest). Both sides are
-    integers on row i's scale s_i (`Instance.row_scales`): strict
-    left-hand sides come from the integer rows and their cross sums, weak
-    ones are hat-d times s_i. A Fraction is built only to report a
-    violation.
+    weak mode uses hat-d on the left. Weak mode also asks that each N_H
+    agent's cheapest bundle chore lie in its residual S_i, which always
+    holds and is not checked: the designated chore is the costliest of
+    its bundle, so a non-singleton bundle keeps a cheapest chore in S_i.
+    A condition compares one left-hand side with coef * v_k over agents
+    k, so all pairs hold iff the tightest does (least v_k if coef >= 0,
+    else greatest). Both sides are integers on row i's scale s_i
+    (`Instance.row_scales`): strict left-hand sides come from the integer
+    rows and their cross sums, weak ones are hat-d times s_i. A Fraction
+    is built only to report a violation.
     """
     return _certify(inst, X, cert)[0]
 

@@ -63,8 +63,6 @@ _RATIONAL_RE = re.compile(r"^([+-]?\d+)(?:/(\d+))?$")
 
 def parse_rational(token: str, line: int = None, col: int = None) -> Fraction:
     """Parse "a" or "a/b" into an exact Fraction."""
-    if token.isdecimal():  # exactly the unsigned tokens that \d+ matches
-        return Fraction(int(token))
     m = _RATIONAL_RE.match(token)
     if m is None:
         raise BadRational(f"not a rational: {token!r}", line, col)
@@ -124,12 +122,8 @@ class Instance:
             if len(row) != m:
                 raise RowCountMismatch(f"row {i + 1} has {len(row)} entries, expected {m}")
             for j, v in enumerate(row):
-                # The type test keeps the common case cheap; bool is an int.
-                if type(v) is not Fraction:
-                    if isinstance(v, bool) or not isinstance(v, _EXACT):
-                        raise BadRational(
-                            f"d[{i + 1}][{j + 1}] = {v!r} is not an int or Fraction"
-                        )
+                if isinstance(v, bool) or not isinstance(v, _EXACT):  # bool is an int
+                    raise BadRational(f"d[{i + 1}][{j + 1}] = {v!r} is not an int or Fraction")
                 if v.numerator <= 0:  # denominators are positive
                     raise NonPositiveDisutility(
                         f"d[{i + 1}][{j + 1}] = {v} is not positive"
@@ -268,7 +262,7 @@ def parse_instance(text: str) -> Instance:
             )
         for col, tok in enumerate(toks):
             if tok not in values:
-                # isdecimal() takes exactly the tokens parse_rational reads as ints.
+                # isdecimal() takes exactly the unsigned tokens that \d+ matches.
                 v = int(tok) if tok.isdecimal() else parse_rational(tok, lno, col + 1)
                 if v <= 0:
                     raise NonPositiveDisutility(
@@ -345,20 +339,25 @@ def data_tokens(text: str) -> list:
     return [tok for ln in lines for tok in ln.split()]
 
 
-def parse_allocation(text: str, n: int, m: int) -> Allocation:
-    """One line of m entries, each an owner's agent index in 1..n."""
-    toks = data_tokens(text)
-    if len(toks) != m:
-        raise RowCountMismatch(f"expected {m} owner entries, found {len(toks)}")
-    owners = []
-    for col, tok in enumerate(toks):
+def parse_agents(text: str, n: int) -> list:
+    """The 0-based agents of text's entries, each an agent index in 1..n."""
+    agents = []
+    for col, tok in enumerate(data_tokens(text)):
         try:
             v = int(tok)
         except ValueError:
             raise ParseError(f"not an agent index: {tok!r}", col=col + 1)
         if not 1 <= v <= n:
             raise AgentOutOfRange(f"agent index {v} out of range 1..{n}")
-        owners.append(v - 1)
+        agents.append(v - 1)
+    return agents
+
+
+def parse_allocation(text: str, n: int, m: int) -> Allocation:
+    """One line of m entries, each an owner's agent index in 1..n."""
+    owners = parse_agents(text, n)
+    if len(owners) != m:
+        raise RowCountMismatch(f"expected {m} owner entries, found {len(owners)}")
     return Allocation(n, tuple(owners))
 
 

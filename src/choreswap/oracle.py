@@ -259,7 +259,7 @@ def generate_valid_certificate(
     # Residual chores of other NH agents are unconstrained by the
     # certificate inequalities; randomize them for fuzzing value, but keep
     # them at value_max or above so each row's global minimum stays inside
-    # the own residual (the weak-mode bundle-min condition).
+    # the own residual.
     for i in range(n):
         for h in nh:
             if h == i:

@@ -16,11 +16,12 @@ from choreswap.errors import (
     CouplingUnsatisfiable,
     InvariantViolation,
     RhoNotLessThanK,
+    RoundedInputInvalid,
 )
-from choreswap.model import UniformInt
+from choreswap.model import UniformInt, serialize_allocation, serialize_instance, serialize_prices
 from fractions import Fraction
 
-from conftest import pef1_start
+from conftest import pef1_start, rounded_fixture
 
 I1 = "2 3\n1 1 10\n1 1 10\n"
 I2 = "2 4\n1 2 3 4\n4 3 2 1\n"
@@ -204,13 +205,50 @@ def test_solve_er4_requires_companions(tmp_path, capsys):
 
 
 def test_bench_er4_requires_companions(tmp_path, capsys):
+    # One rounded input fits one instance, so bench has no er4 method:
+    # er4 in --methods is an unknown method, rejected before any run.
     corpus = tmp_path / "corpus"
     corpus.mkdir()
     write(corpus, "i1.txt", I1)
     assert main(["bench", str(corpus), "--methods", "auto,er4"]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == "choreswap: error: --method er4 requires --alloc and --prices\n"
+    assert captured.err == (
+        "choreswap: error: unknown method 'er4'; choose from auto, pef1, bivalued, small-m\n"
+    )
+
+
+def _write_rounded(tmp_path, inst, x, p):
+    """The instance, allocation and prices of a rounded input, as files."""
+    return (write(tmp_path, "er.txt", serialize_instance(inst)),
+            write(tmp_path, "er.alloc", serialize_allocation(x)),
+            write(tmp_path, "er.prices", serialize_prices(p)))
+
+
+def test_solve_er4_from_rounded_files(tmp_path, capsys):
+    inst, x, p = rounded_fixture(0, [1, 1], [2, 2])
+    rounded, violations = pipelines.validate_rounded_er(inst, x, p)
+    assert violations == []
+    path, alloc, prices = _write_rounded(tmp_path, inst, x, p)
+    out = tmp_path / "er.out"
+    assert main(["solve", path, "--method", "er4", "--alloc", alloc, "--prices", prices,
+                 "--verify", "--out", str(out)]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == "verify: ok\n"
+    assert captured.out.splitlines()[1].split(",")[1] == "er4"
+    assert out.read_text() == serialize_allocation(pipelines.solve_4efx(inst, rounded).x)
+
+
+def test_solve_er4_rejects_an_invalid_rounded_input(tmp_path, capsys):
+    inst, x, p = rounded_fixture(0, [1, 1], [2, 2])
+    x = choreswap.Allocation(inst.n, (0,) * inst.m)  # agent 1 holds both high chores
+    _, violations = pipelines.validate_rounded_er(inst, x, p)
+    assert violations
+    path, alloc, prices = _write_rounded(tmp_path, inst, x, p)
+    assert main(["solve", path, "--method", "er4", "--alloc", alloc, "--prices", prices]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"solve: error: {RoundedInputInvalid(violations)}\n"
 
 
 def test_solve_bivalued_on_nonbivalued_errors(tmp_path):
@@ -421,6 +459,72 @@ def test_missing_file_io_error(tmp_path, capsys):
         assert main(argv) == 1, argv
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err.startswith("choreswap: io error: "), argv
+
+
+CHECK = ["check", "i1.txt", "--alloc", "i1.alloc"]
+CHECK_ALL = [*CHECK, "--prices", "i1.prices", "--cert", "nh", "--props"]
+
+
+# (files that replace or join the base files, argv, the one stderr line).
+# Each input is rejected with exit 1 and an empty stdout; the line and
+# column show where the error carries them.
+BOUNDARY = {
+    "empty-file": ({"in.txt": "# no data\n\n"}, ["solve", "in.txt"],
+                   "choreswap: error: empty instance file"),
+    "header-not-n-m": ({"in.txt": "2\n1 1\n"}, ["solve", "in.txt"],
+                       "choreswap: error: expected 'n m', got '2' (line 1)"),
+    "header-not-integer": ({"in.txt": "# c\n2 x\n"}, ["solve", "in.txt"],
+                           "choreswap: error: expected integers in header, got '2 x' (line 2)"),
+    "no-agent": ({"in.txt": "0 2\n"}, ["solve", "in.txt"],
+                 "choreswap: error: need n >= 1 and m >= 0, got n=0 m=2 (line 1)"),
+    "negative-m": ({"in.txt": "1 -1\n"}, ["solve", "in.txt"],
+                   "choreswap: error: need n >= 1 and m >= 0, got n=1 m=-1 (line 1)"),
+    "rows-when-m-is-0": ({"in.txt": "1 0\n5\n"}, ["solve", "in.txt"],
+                         "choreswap: error: expected no matrix rows when m = 0"),
+    "short-row": ({"in.txt": "2 2\n1 2\n3\n"}, ["solve", "in.txt"],
+                  "choreswap: error: row 2 has 1 entries, expected 2 (line 3)"),
+    "price-count": ({"i1.prices": "1 1\n"}, [*CHECK_ALL, "mpb"],
+                    "choreswap: error: expected 3 prices, found 2"),
+    "alloc-token": ({"i1.alloc": "1 x 2\n"}, [*CHECK, "--props", "po"],
+                    "choreswap: error: not an agent index: 'x' (col 2)"),
+    "alloc-not-utf8": ({"i1.alloc": b"\xff1 1 2\n"}, [*CHECK, "--props", "po"],
+                       "choreswap: io error: TMP/i1.alloc is not UTF-8 text: 'utf-8' codec "
+                       "can't decode byte 0xff in position 0: invalid start byte"),
+    "cert-token": ({"nh": "x\n"}, [*CHECK_ALL, "cert:2:strict"],
+                   "check: error: cert:2:strict: not an agent index: 'x' (col 1)"),
+    "efx-extra-field": ({}, [*CHECK_ALL, "efx:2:9"], "check: error: efx:2:9: expected efx:L"),
+    "po-extra-field": ({}, [*CHECK_ALL, "po:1"], "check: error: po:1: expected po"),
+    "efk-missing-field": ({}, [*CHECK_ALL, "efk:1"], "check: error: efk:1: expected efk:A:K"),
+    "empty-props": ({}, [*CHECK_ALL, ""], "check: error: : unknown property ''"),
+    "comma-props": ({}, [*CHECK_ALL, ","], "check: error: : unknown property ''"),
+    "unknown-prop": ({}, [*CHECK_ALL, "efy:2"], "check: error: efy:2: unknown property 'efy:2'"),
+    "bad-rational": ({}, [*CHECK_ALL, "efx:x"], "check: error: efx:x: not a rational: 'x'"),
+    "bad-k": ({}, [*CHECK_ALL, "efk:1:x"],
+              "check: error: efk:1:x: invalid literal for int() with base 10: 'x'"),
+    "negative-k": ({}, [*CHECK_ALL, "efk:1:-1"],
+                   "check: error: efk:1:-1: k must be a non-negative int, got -1"),
+    "cert-mode": ({}, [*CHECK_ALL, "cert:2:loose"],
+                  "check: error: cert:2:loose: cert mode must be strict or weak, got 'loose'"),
+    "mpb-without-prices": ({}, [*CHECK, "--props", "mpb"],
+                           "check: error: mpb: mpb requires --prices"),
+    "pefk-without-prices": ({}, [*CHECK, "--props", "pefk:1:1"],
+                            "check: error: pefk:1:1: pefk requires --prices"),
+    "pefx-without-prices": ({}, [*CHECK, "--props", "pefx:1"],
+                            "check: error: pefx:1: pefx requires --prices"),
+    "cert-without-cert": ({}, [*CHECK, "--props", "cert:2:strict"],
+                          "check: error: cert:2:strict: cert requires --cert"),
+}
+
+
+@pytest.mark.parametrize("files, argv, err", BOUNDARY.values(), ids=BOUNDARY)
+def test_boundary_rejects_bad_input(tmp_path, capsys, files, argv, err):
+    files = {"i1.txt": I1, "i1.alloc": "1 1 2\n", "i1.prices": "1 1 10\n", "nh": "2\n", **files}
+    for name, data in files.items():
+        (tmp_path / name).write_bytes(data if isinstance(data, bytes) else data.encode())
+    assert main([str(tmp_path / a) if a in files else a for a in argv]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.replace(str(tmp_path), "TMP") == err + "\n"
 
 
 def test_usage_error_exit_code():

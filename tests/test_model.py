@@ -184,7 +184,7 @@ def test_parse_rational():
 
 
 def _regex_rational(token, line, col):
-    """parse_rational through _RATIONAL_RE alone, with no fast path."""
+    """A rational token read through _RATIONAL_RE alone."""
     m = _RATIONAL_RE.match(token)
     if m is None:
         raise BadRational(f"not a rational: {token!r}", line, col)
@@ -200,17 +200,28 @@ def _regex_rational(token, line, col):
      "1.5", "", "0x10"],
 )
 def test_parse_rational_fast_path_matches_regex(token):
-    # The fast path takes str.isdecimal() tokens: exactly the unsigned ones
-    # that \d+ matches, non-ASCII decimal digits included; '\u00b2' (a
-    # superscript two) is a digit but not decimal, so it stays a BadRational.
+    # parse_instance reads str.isdecimal() tokens with int(): exactly the
+    # unsigned ones that \d+ matches, non-ASCII decimal digits included;
+    # '\u00b2' (a superscript two) is a digit but not decimal, so it stays a
+    # BadRational. Every other token goes through parse_rational.
     def outcome(parse):
         try:
-            v = parse(token, 2, 3)
+            v = parse(token)
         except Exception as e:
             return type(e), str(e)
         return type(v), v
 
-    assert outcome(parse_rational) == outcome(_regex_rational)
+    def regex_entry(tok):
+        v = _regex_rational(tok, 2, 2)
+        if v <= 0:
+            raise NonPositiveDisutility(f"disutility must be positive, got {tok}", 2, 2)
+        return v
+
+    read = outcome(lambda t: parse_rational(t, 2, 3))
+    assert read == outcome(lambda t: _regex_rational(t, 2, 3))
+    if token:  # an empty token is no matrix entry
+        entry = outcome(lambda t: parse_instance(f"1 2\n1 {t}\n").d[0][1])
+        assert entry == outcome(regex_entry)
 
 
 def test_integer_rows_cached_and_outside_identity():
