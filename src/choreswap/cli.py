@@ -250,6 +250,16 @@ def cmd_solve(args) -> int:
     return EXIT_OK
 
 
+def _parse_k(tok: str) -> int:
+    """The K of efk:A:K and pefk:A:K: int() reads it, so its errors stay,
+    and then only ASCII digits with an optional leading '-' are taken."""
+    k = int(tok)
+    digits = tok.removeprefix("-")
+    if not (digits.isascii() and digits.isdigit()):
+        raise ChoreSwapError(f"not an integer K: {tok!r}")
+    return k
+
+
 def _check_one(prop: str, inst, X: Allocation, p, nh_text, budget: int):
     """Return (ok, detail) for one property token."""
     name, *fields = prop.split(":")
@@ -265,9 +275,9 @@ def _check_one(prop: str, inst, X: Allocation, p, nh_text, budget: int):
         ok = is_alpha_efx(inst, X, parse_rational(fields[0]))
         return ok, f"factor {render_factor(efx_factor(inst, X))}"
     if name == "efk":
-        return is_alpha_efk(inst, X, parse_rational(fields[0]), int(fields[1])), ""
+        return is_alpha_efk(inst, X, parse_rational(fields[0]), _parse_k(fields[1])), ""
     if name == "pefk":
-        return is_pefk(inst, X, p, parse_rational(fields[0]), int(fields[1])), ""
+        return is_pefk(inst, X, p, parse_rational(fields[0]), _parse_k(fields[1])), ""
     if name == "pefx":
         return is_pefx(inst, X, p, parse_rational(fields[0])), ""
     if name == "mpb":

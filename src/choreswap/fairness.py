@@ -100,10 +100,15 @@ def _envy(rows, X: Allocation, k: Optional[int] = None):
     return _worst_envy(*_envy_terms(rows, X, k))
 
 
+def _factor(worst) -> Union[Fraction, object]:
+    """The ratio of a (num, den) pair of _worst_envy: INFINITE if den == 0."""
+    num, den = worst
+    return INFINITE if den == 0 else Fraction(num, den)
+
+
 def efx_factor(inst: Instance, X: Allocation) -> Union[Fraction, object]:
     """Minimum lambda >= 0 such that X is lambda-EFX, or INFINITE."""
-    num, den = _envy(inst.integer_rows(), X)
-    return INFINITE if den == 0 else Fraction(num, den)
+    return _factor(_envy(inst.integer_rows(), X))
 
 
 def is_alpha_efx(inst: Instance, X: Allocation, lam: Fraction) -> bool:
@@ -151,6 +156,9 @@ class PoResult:
         return self.status == "po"
 
 
+_PO = PoResult("po")  # frozen, so every PO verdict shares it
+
+
 def is_po_bruteforce(
     inst: Instance, X: Allocation, budget: int = DEFAULT_BUDGET
 ) -> PoResult:
@@ -166,6 +174,11 @@ def is_po_bruteforce(
     at its cheapest row. At a leaf that cut is the strict-improvement
     test. The cuts drop only subtrees without a dominating leaf, so the
     result has the same verdict and witness as the exhaustive search.
+
+    The cut at the root, rest[0] >= goal, means no allocation costs less
+    in total than X, so X is PO; it is tested before the search state is
+    built. Every PO verdict is one shared `PoResult("po")`, which is
+    frozen and equal to a fresh one.
     """
     X.check_shape(inst.n, inst.m)
     n, m = inst.n, inst.m
@@ -177,6 +190,8 @@ def is_po_bruteforce(
         targets[o] += col[o]
     goal = sum(targets)
     rest = list(accumulate(map(min, reversed(cols)), initial=0))[::-1]
+    if rest[0] >= goal:
+        return _PO
 
     owners = [0] * m
     sums = [0] * n
@@ -197,10 +212,8 @@ def is_po_bruteforce(
                 return hit
         return None
 
-    hit = dfs(0, 0) if rest[0] < goal else None
-    if hit is None:
-        return PoResult("po")
-    return PoResult("dominated", Allocation(n, hit))
+    hit = dfs(0, 0)
+    return _PO if hit is None else PoResult("dominated", Allocation(n, hit))
 
 
 def envy_report(inst: Instance, X: Allocation, k: Optional[int] = None) -> str:

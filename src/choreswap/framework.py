@@ -21,7 +21,7 @@ from .errors import (
     PostconditionViolated,
     SelfSwap,
 )
-from .fairness import _envy_terms, _residual, _within, _worst_envy, efx_factor, hat_d
+from .fairness import _envy_terms, _factor, _residual, _within, _worst_envy, efx_factor, hat_d
 from .model import _EXACT, Allocation, Instance
 
 
@@ -131,37 +131,40 @@ def _certify(inst: Instance, X: Allocation, cert: FriendlyCertificate):
     n0, nh = sorted(cert.n0), sorted(cert.nh)
     desig = {i: designated_chore(inst, i, bundles[i]) for i in nh}
 
-    def check(cond, i, lhs, coef, others, on_row):
-        """Append a Violation for each k in others with lhs > coef *
-        on_row[k], all on row i's scale, for coef = a / b, b > 0."""
+    def check(cond, i, lhs, coef, others, on_row, cols):
+        """Append a Violation for each k = others[t] with lhs > coef *
+        on_row[cols[t]], all on row i's scale, for coef = a / b, b > 0."""
         if not others:
             return
         a, b = coef
-        tight = (min if a >= 0 else max)(map(on_row.__getitem__, others))
+        tight = (min if a >= 0 else max)(map(on_row.__getitem__, cols))
         if lhs * b <= a * tight:
             return
         s = scale[i]
-        for k in others:
-            if lhs * b > a * on_row[k]:
+        for k, c in zip(others, cols):
+            if lhs * b > a * on_row[c]:
                 violations.append(
-                    Violation(cond, i, k, Fraction(lhs, s), Fraction(a * on_row[k], b * s))
+                    Violation(cond, i, k, Fraction(lhs, s), Fraction(a * on_row[c], b * s))
                 )
 
+    # Conditions (i) and (iii) read agent k's bundle cost cross[i][k],
+    # (ii) and (iv) the cost rows[i][c] of k's designated chore c.
     lam = (cert.lam.numerator, cert.lam.denominator)
     lam1 = (lam[0] - lam[1], lam[1])
+    dcols = [desig[k] for k in nh]
     for i in n0:
         # nums[i] is hat-d_i(X_i) on row i's scale.
         lhs = nums[i] if cert.weak else cross[i][i]
-        check("i", i, lhs, lam, n0, cross[i])
-        check("ii", i, lhs, lam, nh, {k: rows[i][j] for k, j in desig.items()})
+        check("i", i, lhs, lam, n0, cross[i], n0)
+        check("ii", i, lhs, lam, nh, rows[i], dcols)
     for i in nh:
         if cert.weak:
             h = hat_d(inst, i, [j for j in bundles[i] if j != desig[i]])
             lhs = h.numerator * scale[i] // h.denominator
         else:
             lhs = cross[i][i] - rows[i][desig[i]]
-        check("iii", i, lhs, lam1, n0, cross[i])
-        check("iv", i, lhs, lam1, nh, {k: rows[i][j] for k, j in desig.items()})
+        check("iii", i, lhs, lam1, n0, cross[i], n0)
+        check("iv", i, lhs, lam1, nh, rows[i], dcols)
     return violations, state, desig
 
 
@@ -250,8 +253,11 @@ def run_framework(
     pick moves one chore (two cross columns, O(n)), the numerators are
     settled once after Phase 1, and each swap updates the state of i and
     l. With N_H empty neither phase has work, and Y is the Phase-1
-    allocation and the result. Only the final factor is recomputed from
-    scratch, by `efx_factor`.
+    allocation and the result. The final factor is then read from the
+    state, which holds exactly the numerators and cross sums that
+    `efx_factor` would build for Y with the same kernel, so the value is
+    the same. A run with N_H non-empty, which moves chores, recomputes
+    the final factor from scratch by `efx_factor`.
     """
     violations, state, desig = _certify(inst, Y, cert)
     if violations:
@@ -318,7 +324,7 @@ def run_framework(
     if trace.swaps:
         X = state.allocation()
 
-    factor = efx_factor(inst, X)
+    factor = efx_factor(inst, X) if order else _factor(_worst_envy(nums, cross))
     trace.final_factor = factor
     failed = [rec for rec in trace.invariants if not rec[2]]
     if failed or trace.flags or not factor <= lam:

@@ -340,13 +340,14 @@ def data_tokens(text: str) -> list:
 
 
 def parse_agents(text: str, n: int) -> list:
-    """The 0-based agents of text's entries, each an agent index in 1..n."""
+    """The 0-based agents of text's entries, each an agent index in 1..n
+    written in ASCII digits: a sign, an underscore or another script's
+    digits, all of which int() takes, is not an agent index."""
     agents = []
     for col, tok in enumerate(data_tokens(text)):
-        try:
-            v = int(tok)
-        except ValueError:
+        if not (tok.isascii() and tok.isdigit()):
             raise ParseError(f"not an agent index: {tok!r}", col=col + 1)
+        v = int(tok)
         if not 1 <= v <= n:
             raise AgentOutOfRange(f"agent index {v} out of range 1..{n}")
         agents.append(v - 1)

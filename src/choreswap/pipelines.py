@@ -30,7 +30,7 @@ from .errors import (
 from .fairness import DEFAULT_BUDGET, efx_factor
 from .framework import FriendlyCertificate, SwapTrace, chore_swap, run_framework
 from .market import _positive_prices, is_mpb_allocation, mpb_holds, mpb_ratio
-from .model import Allocation, Instance, allocation_from_bundles
+from .model import INFINITE, Allocation, Instance, allocation_from_bundles
 
 MARKET_STEPS_PER_NM = 50  # the market loop stops past 50 * n * m steps
 
@@ -47,10 +47,12 @@ class Pef1Solution:
 
     @property
     def p(self) -> tuple:
-        """The prices P[j] / unit as Fractions."""
-        if self.unit == 1:
-            return tuple(map(Fraction, self.P))
-        return tuple(Fraction(v, self.unit) for v in self.P)
+        """The prices P[j] / unit as Fractions, one shared Fraction per
+        distinct integer price (as `Instance.d` shares its values): a
+        {1, k}-priced start builds two. Each entry equals Fraction(P[j],
+        unit), so the prices compare, hash and print as before."""
+        shared = {v: Fraction(v, self.unit) for v in set(self.P)}
+        return tuple([shared[v] for v in self.P])
 
 
 @dataclass
@@ -230,23 +232,32 @@ def _bivalued_candidate(
     """Run a {1,k}-priced pEF1+MPB start through the bivalued pipeline,
     with (rho, top) what the pEF1+MPB gate returned for it.
 
+    The start is returned as it is (an early exit) when its factor a / b
+    is at most lambda = 2 - 1/k = (2 kn - kd) / kn for k = kn / kd, which
+    is tested on integers: a * kn <= (2 kn - kd) * b, and never for an
+    INFINITE factor. That is `factor <= lambda` cross-multiplied by the
+    positive kn and b, so the same starts exit. lambda is built as a
+    Fraction only for the framework run, and it equals 2 - 1/k.
+
     sol.unit is price 1 on the scale of sol.P. The least earning rho and
     each bundle's highest price t are compared with k as integers: rho *
     k.den against k.num * unit. A Phase-1 pick or a swap that breaks MPB
     under sol.P, which would cost the PO certificate, raises
     PostconditionViolated.
     """
-    lam = 2 - 1 / k
+    kn, kd = k.numerator, k.denominator
     trace = _trivial_trace(inst, sol.x, "weak")
-    if trace.final_factor <= lam:
+    f = trace.final_factor
+    if f is not INFINITE and f.numerator * kn <= (2 * kn - kd) * f.denominator:
         return SolveResult(sol.x, trace, "bivalued", prices=sol.p, notes=["early-exit"])
     one = sol.unit
-    if not rho * k.denominator < k.numerator * one:
+    if not rho * kd < kn * one:
         raise RhoNotLessThanK(
             f"least earning {Fraction(rho, one)} >= k = {k} contradicts the bivalued derivation"
         )
     # Prices lie in {1, k}: N_H holds the agents with a chore priced k.
-    nh = frozenset(i for i, t in enumerate(top) if t * k.denominator >= k.numerator * one)
+    nh = frozenset(i for i, t in enumerate(top) if t * kd >= kn * one)
+    lam = Fraction(2 * kn - kd, kn)
     cert = FriendlyCertificate(lam, frozenset(range(inst.n)) - nh, nh, weak=True)
     x, trace = run_framework(inst, sol.x, cert)
     steps = [trace.phase1]
@@ -274,7 +285,10 @@ def solve_bivalued(inst: Instance) -> SolveResult:
     if k is None:
         raise NotBivalued("instance has more than two distinct disutility values")
     sol = search_pef1_mpb(inst)
-    if not all(v == sol.unit or v * k.denominator == k.numerator * sol.unit for v in sol.P):
+    # Price k is k * unit on the scale of sol.P, an integer only when kd
+    # divides kn * unit; otherwise only price 1 is allowed.
+    kp, r = divmod(k.numerator * sol.unit, k.denominator)
+    if not ({sol.unit, kp} if r == 0 else {sol.unit}).issuperset(sol.P):
         span = ", ".join(map(str, sorted(set(sol.p))))
         raise PostconditionViolated(f"market prices {{{span}}} are not in {{1, {k}}} (finding)")
     return _bivalued_candidate(inst, k, sol, *_require_pef1_mpb(inst, sol))

@@ -487,11 +487,23 @@ BOUNDARY = {
                     "choreswap: error: expected 3 prices, found 2"),
     "alloc-token": ({"i1.alloc": "1 x 2\n"}, [*CHECK, "--props", "po"],
                     "choreswap: error: not an agent index: 'x' (col 2)"),
+    "alloc-plus": ({"i1.alloc": "1 +2 2\n"}, [*CHECK, "--props", "po"],
+                   "choreswap: error: not an agent index: '+2' (col 2)"),
+    "alloc-underscore": ({"i1.alloc": "1 2_0 2\n"}, [*CHECK, "--props", "po"],
+                         "choreswap: error: not an agent index: '2_0' (col 2)"),
+    "alloc-arabic-indic": ({"i1.alloc": "1 \u0661 2\n"}, [*CHECK, "--props", "po"],
+                           "choreswap: error: not an agent index: '\u0661' (col 2)"),
     "alloc-not-utf8": ({"i1.alloc": b"\xff1 1 2\n"}, [*CHECK, "--props", "po"],
                        "choreswap: io error: TMP/i1.alloc is not UTF-8 text: 'utf-8' codec "
                        "can't decode byte 0xff in position 0: invalid start byte"),
     "cert-token": ({"nh": "x\n"}, [*CHECK_ALL, "cert:2:strict"],
                    "check: error: cert:2:strict: not an agent index: 'x' (col 1)"),
+    "cert-plus": ({"nh": "+2\n"}, [*CHECK_ALL, "cert:2:strict"],
+                  "check: error: cert:2:strict: not an agent index: '+2' (col 1)"),
+    "cert-underscore": ({"nh": "2_0\n"}, [*CHECK_ALL, "cert:2:strict"],
+                        "check: error: cert:2:strict: not an agent index: '2_0' (col 1)"),
+    "cert-arabic-indic": ({"nh": "\u0662\n"}, [*CHECK_ALL, "cert:2:strict"],
+                          "check: error: cert:2:strict: not an agent index: '\u0662' (col 1)"),
     "efx-extra-field": ({}, [*CHECK_ALL, "efx:2:9"], "check: error: efx:2:9: expected efx:L"),
     "po-extra-field": ({}, [*CHECK_ALL, "po:1"], "check: error: po:1: expected po"),
     "efk-missing-field": ({}, [*CHECK_ALL, "efk:1"], "check: error: efk:1: expected efk:A:K"),
@@ -503,6 +515,11 @@ BOUNDARY = {
               "check: error: efk:1:x: invalid literal for int() with base 10: 'x'"),
     "negative-k": ({}, [*CHECK_ALL, "efk:1:-1"],
                    "check: error: efk:1:-1: k must be a non-negative int, got -1"),
+    "k-plus": ({}, [*CHECK_ALL, "efk:1:+2"], "check: error: efk:1:+2: not an integer K: '+2'"),
+    "k-underscore": ({}, [*CHECK_ALL, "pefk:1:2_0"],
+                     "check: error: pefk:1:2_0: not an integer K: '2_0'"),
+    "k-arabic-indic": ({}, [*CHECK_ALL, "efk:1:\u0661"],
+                       "check: error: efk:1:\u0661: not an integer K: '\u0661'"),
     "cert-mode": ({}, [*CHECK_ALL, "cert:2:loose"],
                   "check: error: cert:2:loose: cert mode must be strict or weak, got 'loose'"),
     "mpb-without-prices": ({}, [*CHECK, "--props", "mpb"],

@@ -169,6 +169,16 @@ def test_solve_bivalued_rejects_a_start_priced_outside_1_k(monkeypatch):
         solve_bivalued(inst)
 
 
+def test_solve_bivalued_rejects_price_floor_k_when_k_is_not_a_whole_price(monkeypatch):
+    # With k = 5/2 and unit 1, price k is not an integer on the start's
+    # scale, so only price 1 is allowed; 2 = floor(k * unit) is not k.
+    inst = make_instance([[2, 5], [5, 2]])
+    off = pef1_start(Allocation(2, (0, 1)), (1, 2))
+    monkeypatch.setattr(pipelines, "search_pef1_mpb", lambda inst: off)
+    with pytest.raises(PostconditionViolated, match=r"^market prices \{1, 2\} are not in \{1, 5/2\} \(finding\)$"):
+        solve_bivalued(inst)
+
+
 def test_every_small_bivalued_matrix_has_a_1_k_start():
     # Every {1, 5/2} matrix with n = 2, m <= 6 and n = 3, m <= 4, plus the
     # single-valued shapes, gets a {1,k}-priced start from the market loop
@@ -188,6 +198,51 @@ def test_every_small_bivalued_matrix_has_a_1_k_start():
         assert set(res.prices) <= {1, k_inst}, inst.d
         assert efx_factor(inst, res.x) <= 2 - 1 / k_inst, inst.d
         assert is_mpb_allocation(inst, res.x, res.prices), inst.d
+
+
+def _bivalued_cases(count, rng):
+    """Seeded bivalued instances, k cycling through 2, 3, 5/2 and 7/3; one
+    in four has every row scaled by one rational factor, which keeps k."""
+    ks = [Fraction(2), Fraction(3), Fraction(5, 2), Fraction(7, 3)]
+    for case in range(count):
+        n = rng.randint(2, 3)
+        inst = generate_random(case, n, rng.randint(2 * n + 1, 8), Bivalued(ks[case % 4]))
+        if case // 4 % 4 == 3:
+            inst = scale_rows(inst, [Fraction(rng.randint(1, 9), rng.randint(1, 9))] * n)
+        yield inst
+
+
+def test_bivalued_early_exit_iff_the_start_is_within_lambda():
+    # The early exit is decided on integers; it must fire exactly when the
+    # start's factor is at most 2 - 1/k. The last instance's start has
+    # factor 3/2 = 2 - 1/2 exactly: agent 1 holds values 1, 1, 2 (3 after
+    # dropping a 1) against agent 2's single chore of value 2.
+    exact = make_instance([[1, 1, 2, 2], [2, 2, 2, 2]])
+    seen = {True: 0, False: 0}
+    for inst in [*_bivalued_cases(400, random.Random(33)), exact]:
+        res = solve_bivalued(inst)
+        start = res.x if res.start is None else res.start
+        early = "early-exit" in res.notes
+        assert early == (efx_factor(inst, start) <= 2 - 1 / inst.bivalued_k()), inst.d
+        seen[early] += 1
+    assert (res.x.owners, res.notes) == ((0, 0, 1, 0), ["early-exit"])
+    assert efx_factor(exact, res.x) == Fraction(3, 2)
+    assert min(seen.values()) >= 5, seen
+
+
+def test_pef1_prices_share_one_fraction_per_distinct_price():
+    # Pef1Solution.p equals the per-price Fractions and builds one per
+    # distinct integer price.
+    rng = random.Random(8)
+    uniform = [generate_random(s, 3, 8, UniformInt(1, 20)) for s in range(20)]
+    cases = [*_bivalued_cases(40, rng), *uniform]
+    units = set()
+    for inst in cases:
+        sol = search_pef1_mpb(inst)
+        assert sol.p == tuple(Fraction(v, sol.unit) for v in sol.P), inst.d
+        assert len(set(map(id, sol.p))) == len(set(sol.P)), inst.d
+        units.add(sol.unit)
+    assert len(units) > 1
 
 
 @pytest.mark.parametrize("k", [Fraction(3), Fraction(5, 2)])
