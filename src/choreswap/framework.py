@@ -71,13 +71,15 @@ class _State:
     sums cross[i][h] that `fairness._envy_terms` gives for the allocation:
     X_i under agent i's integer row less its cheapest chore, and the cost
     of bundle h under that row. A swap updates them in place. A move
-    updates all but nums, which `settle` then recomputes."""
+    updates all but nums and records the two agents it touched in
+    `moved`; `settle` then recomputes their numerators."""
 
     def __init__(self, rows, X: Allocation):
         self.rows = rows
         self.nums, self.cross = _envy_terms(rows, X)  # rejects an X of another shape first
         self.owners = list(X.owners)
         self.bundles = X.bundles()
+        self.moved = set()  # agents whose numerators a move left stale
 
     def allocation(self) -> Allocation:
         return Allocation(len(self.rows), tuple(self.owners))
@@ -93,10 +95,15 @@ class _State:
         for c, row in zip(self.cross, self.rows):
             c[o] -= row[j]
             c[i] += row[j]
+        self.moved.update((o, i))
 
     def settle(self):
-        """Recompute every numerator from the bundles, in place."""
-        self.nums[:] = [_residual([row[j] for j in b]) for row, b in zip(self.rows, self.bundles)]
+        """Recompute the numerators of the agents in `moved` from their
+        bundles, in place; the others are still those of the start."""
+        rows, bundles = self.rows, self.bundles
+        for a in self.moved:
+            self.nums[a] = _residual([rows[a][j] for j in bundles[a]])
+        self.moved.clear()
 
     def swap(self, i: int, l: int, j_i: int):
         """The (i, l) chore swap in place: columns i and l of the cross
@@ -250,14 +257,21 @@ def run_framework(
     One integer allocation state (`_State`) serves the whole run: the
     certificate check builds it with the bundles, numerators and cross
     sums of Y, and the designated chores of the N_H agents. Each Phase-1
-    pick moves one chore (two cross columns, O(n)), the numerators are
-    settled once after Phase 1, and each swap updates the state of i and
-    l. With N_H empty neither phase has work, and Y is the Phase-1
-    allocation and the result. The final factor is then read from the
-    state, which holds exactly the numerators and cross sums that
+    pick that gives a chore to a new owner moves it (two cross columns,
+    O(n)), the numerators of the agents those moves touched are settled
+    once after Phase 1, and each swap updates the state of i and l. When
+    no pick moved a chore (N_H empty, or each pick stayed with its
+    owner) Y is the Phase-1 allocation. With N_H empty neither phase has
+    work and Y is also the result. The final factor is then read from
+    the state, which holds exactly the numerators and cross sums that
     `efx_factor` would build for Y with the same kernel, so the value is
-    the same. A run with N_H non-empty, which moves chores, recomputes
-    the final factor from scratch by `efx_factor`.
+    the same. A run with N_H non-empty recomputes the final factor from
+    scratch by `efx_factor`.
+
+    Each N_H agent weakly prefers its own pick to every later agent's
+    pick, so that is not checked: the agent takes the cheapest chore, by
+    its own row, of a pool that only shrinks, and every later pick was
+    still in the pool then.
     """
     violations, state, desig = _certify(inst, Y, cert)
     if violations:
@@ -276,15 +290,7 @@ def run_framework(
         state.move(j, i)
         picked[i] = j
         trace.picks.append((i, j))
-    X = trace.phase1 = state.allocation() if order else Y
-
-    # Pick-order dominance: each agent weakly prefers her own pick to
-    # every later agent's pick.
-    for a in range(len(order)):
-        for b in range(a + 1, len(order)):
-            i, h = order[a], order[b]
-            if rows[i][picked[i]] > rows[i][picked[h]]:
-                trace.flags.append(f"pick-dominance i={i + 1} h={h + 1}")
+    X = trace.phase1 = state.allocation() if state.moved else Y
 
     # Phase 2: chore swaps in pick order, on the numerators settled after
     # Phase 1. A swap updates nums and cross in place.

@@ -58,7 +58,8 @@ class _Infinite:
 
 INFINITE = _Infinite()
 
-_RATIONAL_RE = re.compile(r"^([+-]?\d+)(?:/(\d+))?$")
+# ASCII digits only: \d and int() also take other scripts' digits.
+_RATIONAL_RE = re.compile(r"^([+-]?[0-9]+)(?:/([0-9]+))?$")
 
 
 def parse_rational(token: str, line: int = None, col: int = None) -> Fraction:
@@ -240,6 +241,8 @@ def parse_instance(text: str) -> Instance:
     if len(parts) != 2:
         raise MalformedHeader(f"expected 'n m', got {header!r}", hline)
     try:
+        if not header.isascii():  # int() also reads other scripts' digits
+            raise ValueError(header)
         n, m = int(parts[0]), int(parts[1])
     except ValueError:
         raise MalformedHeader(f"expected integers in header, got {header!r}", hline)
@@ -260,10 +263,10 @@ def parse_instance(text: str) -> Instance:
             raise RowCountMismatch(
                 f"row {i + 1} has {len(toks)} entries, expected {m}", lno
             )
+        ascii_row = ln.isascii()  # so isdecimal() takes exactly what [0-9]+ matches
         for col, tok in enumerate(toks):
             if tok not in values:
-                # isdecimal() takes exactly the unsigned tokens that \d+ matches.
-                v = int(tok) if tok.isdecimal() else parse_rational(tok, lno, col + 1)
+                v = int(tok) if ascii_row and tok.isdecimal() else parse_rational(tok, lno, col + 1)
                 if v <= 0:
                     raise NonPositiveDisutility(
                         f"disutility must be positive, got {tok}", lno, col + 1
@@ -413,7 +416,7 @@ class Bivalued:
 
 Distribution = Union[UniformInt, Bivalued]
 
-_DIST_RE = re.compile(r"^uniform-int:(\d+)\.\.(\d+)$|^bivalued:([0-9/]+)$")
+_DIST_RE = re.compile(r"^uniform-int:([0-9]+)\.\.([0-9]+)$|^bivalued:([0-9/]+)$")
 
 
 def parse_distribution(spec: str) -> Distribution:
@@ -425,15 +428,37 @@ def parse_distribution(spec: str) -> Distribution:
     return Bivalued(parse_rational(m.group(3)))
 
 
+def _randint_rows(rng: random.Random, n: int, m: int, lo: int, hi: int) -> tuple:
+    """n rows of m draws, row by row, each equal to `rng.randint(lo, hi)`
+    from the same state. CPython's randint draws r = getrandbits(k) with
+    k the bit length of the width hi - lo + 1, and draws again while r is
+    not below the width; that loop runs here inline."""
+    bits = rng.getrandbits
+    width = hi - lo + 1
+    k = width.bit_length()
+    rows = []
+    for _ in range(n):
+        row = []
+        for _ in range(m):
+            r = bits(k)
+            while r >= width:
+                r = bits(k)
+            row.append(r + lo)
+        rows.append(tuple(row))
+    return tuple(rows)
+
+
 def generate_random(seed: int, n: int, m: int, dist: Distribution) -> Instance:
     """Deterministic random instance for a fixed (seed, n, m, dist): entries
-    drawn row by row, straight into integer rows."""
+    drawn row by row, straight into integer rows. Each draw equals
+    `random.Random(seed).randint`'s in the same sequence: an entry of
+    `UniformInt(lo, hi)` is `randint(lo, hi)`, and a bivalued row holds k
+    where `randint(0, 1)` gives 1."""
     rng = random.Random(seed)
     if isinstance(dist, UniformInt):
-        rows = tuple(tuple([rng.randint(dist.lo, dist.hi) for _ in range(m)]) for _ in range(n))
-        return Instance._from_rows(rows, (1,) * n)
+        return Instance._from_rows(_randint_rows(rng, n, m, dist.lo, dist.hi), (1,) * n)
     k = dist.k
-    draws = [[rng.randint(0, 1) for _ in range(m)] for _ in range(n)]
+    draws = _randint_rows(rng, n, m, 0, 1)
     # k = a/b in lowest terms: a row holding k is (b, a) on scale b, any
     # other row is all ones on scale 1.
     on_k = (k.denominator, k.numerator)

@@ -15,6 +15,10 @@ bundle: (a) the cheapest rival given every chore left, (b) the average
 of all rivals, (c) the (left+1)-th cheapest rival when `left` chores
 remain, and (d) the average of the k cheapest rivals given every chore
 left. The docstring of `best_efx_factor` gives the argument for each.
+A chore's receiver has its (b) tested in O(1) before the chore's column
+joins the cross sums: (b) reads only the receiver's own sum, least chore
+and row total, so it cuts exactly the children that testing it after
+the move would, and the search tree does not change.
 The visit order (costly chores first, cheapest owner first) only finds
 a good incumbent sooner: the result is the minimum value over all
 leaves, which does not depend on the order the leaves are visited in.
@@ -88,6 +92,16 @@ def best_efx_factor(inst: Instance, budget: int = DEFAULT_ORACLE_BUDGET):
     numerator, so its bounds are tested before the child is entered; the
     other agents' bounds tighten as rem falls, so the child tests them.
     At a leaf rem[i] == 0 and hat_i / s_1 is i's exact ratio.
+
+    The receiver a of chore j, when it already holds a chore, has (b)
+    tested before column j joins the cross sums. (b) reads only a's own
+    sum, its least chore and tot[a], and after the move those are
+    own = cross_a[a] + w and min(w, minv[a]), with w = rows[a][j]; so the
+    O(1) test cuts exactly the children that (b) on the moved state
+    would, and a cut child never touches `cross`, `minv` or `cnt`. A
+    child that stays moves the column and tests (a), (c) and (d). The
+    search tree, the node count and every verdict are the same as with
+    all four bounds tested after the move.
     """
     n, m = inst.n, inst.m
     if n**m > budget:
@@ -123,13 +137,17 @@ def best_efx_factor(inst: Instance, budget: int = DEFAULT_ORACLE_BUDGET):
         num = (own - minv[i]) * best_den  # hat_i, on the incumbent's denominator
         if num * rivals >= best_num * (tot[i] - own):
             return True  # (b)
+        return cut_acd(row, own, num, rest[j][i], m - j)
+
+    def cut_acd(row: list, own: int, num: int, rem: int, left: int) -> bool:
+        """Whether bound (a), (c) or (d) of the agent with cross row `row`,
+        own bundle sum `own` and numerator `num` (on the incumbent's
+        denominator) reaches the incumbent with `left` chores unassigned."""
         s = sorted(row)
         s.remove(own)  # the rival sums, least first
-        rem = rest[j][i]
         least = s[0]
         if num >= best_num * (least + rem):
             return True  # (a)
-        left = m - j
         if left < rivals and num >= best_num * s[left]:
             return True  # (c)
         for k in range(2, rivals):
@@ -164,17 +182,29 @@ def best_efx_factor(inst: Instance, budget: int = DEFAULT_ORACLE_BUDGET):
             if i != got and cnt[i] >= 2 and cut(i, j):
                 return
         col = cols[j]
+        rem = rest[j + 1]
+        left = m - j - 1
         for a in owners[j]:
             w = col[a]
+            held = cnt[a]
+            saved_min = minv[a]
+            if held:
+                # (b) on a's sum and least chore once it holds chore j,
+                # before the column moves.
+                own = cross[a][a] + w
+                low = w if w < saved_min else saved_min
+                num = (own - low) * best_den
+                if num * rivals >= best_num * (tot[a] - own):
+                    continue  # (b)
+                minv[a] = low
+            else:
+                minv[a] = w
             for i in range(n):
                 cross[i][a] += col[i]
-            saved_min = minv[a]
-            if cnt[a] == 0 or w < saved_min:
-                minv[a] = w
-            cnt[a] += 1
-            if cnt[a] < 2 or not cut(a, j + 1):
+            cnt[a] = held + 1
+            if not held or not cut_acd(cross[a], own, num, rem[a], left):
                 dfs(j + 1, a)
-            cnt[a] -= 1
+            cnt[a] = held
             minv[a] = saved_min
             for i in range(n):
                 cross[i][a] -= col[i]

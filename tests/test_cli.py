@@ -483,6 +483,13 @@ BOUNDARY = {
                          "choreswap: error: expected no matrix rows when m = 0"),
     "short-row": ({"in.txt": "2 2\n1 2\n3\n"}, ["solve", "in.txt"],
                   "choreswap: error: row 2 has 1 entries, expected 2 (line 3)"),
+    "header-arabic-indic": ({"in.txt": "\u0662 \u0661\n1\n2\n"}, ["solve", "in.txt"],
+                            "choreswap: error: expected integers in header, "
+                            "got '\u0662 \u0661' (line 1)"),
+    "entry-arabic-indic": ({"in.txt": "2 2\n1 \u0663\n2 1\n"}, ["solve", "in.txt"],
+                           "choreswap: error: not a rational: '\u0663' (line 2, col 2)"),
+    "price-arabic-indic": ({"i1.prices": "1 \u0662 10\n"}, [*CHECK_ALL, "mpb"],
+                           "choreswap: error: not a rational: '\u0662' (col 2)"),
     "price-count": ({"i1.prices": "1 1\n"}, [*CHECK_ALL, "mpb"],
                     "choreswap: error: expected 3 prices, found 2"),
     "alloc-token": ({"i1.alloc": "1 x 2\n"}, [*CHECK, "--props", "po"],
@@ -511,6 +518,10 @@ BOUNDARY = {
     "comma-props": ({}, [*CHECK_ALL, ","], "check: error: : unknown property ''"),
     "unknown-prop": ({}, [*CHECK_ALL, "efy:2"], "check: error: efy:2: unknown property 'efy:2'"),
     "bad-rational": ({}, [*CHECK_ALL, "efx:x"], "check: error: efx:x: not a rational: 'x'"),
+    "l-arabic-indic": ({}, [*CHECK_ALL, "efx:\u0662"],
+                       "check: error: efx:\u0662: not a rational: '\u0662'"),
+    "a-arabic-indic": ({}, [*CHECK_ALL, "efk:\u0661:1"],
+                       "check: error: efk:\u0661:1: not a rational: '\u0661'"),
     "bad-k": ({}, [*CHECK_ALL, "efk:1:x"],
               "check: error: efk:1:x: invalid literal for int() with base 10: 'x'"),
     "negative-k": ({}, [*CHECK_ALL, "efk:1:-1"],

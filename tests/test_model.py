@@ -133,6 +133,9 @@ def test_distribution_validation():
         parse_distribution("uniform-int:0..5")
     with pytest.raises(InvalidDistribution):
         parse_distribution("gauss:1")
+    for spec in ("uniform-int:\u0661..5", "uniform-int:1..\u0665", "bivalued:\u0663"):
+        with pytest.raises(InvalidDistribution, match="bad distribution spec"):
+            parse_distribution(spec)  # ASCII digits only
 
 
 def test_instance_round_trip():
@@ -181,6 +184,9 @@ def test_parse_rational():
         parse_rational("1/0")
     with pytest.raises(BadRational):
         parse_rational("1.5")
+    for token in ("\u0663/\u0662", "1/\u0662", "\u0663", "-\u0663"):
+        with pytest.raises(BadRational):
+            parse_rational(token)  # ASCII digits only
 
 
 def _regex_rational(token, line, col):
@@ -200,10 +206,11 @@ def _regex_rational(token, line, col):
      "1.5", "", "0x10"],
 )
 def test_parse_rational_fast_path_matches_regex(token):
-    # parse_instance reads str.isdecimal() tokens with int(): exactly the
-    # unsigned ones that \d+ matches, non-ASCII decimal digits included;
-    # '\u00b2' (a superscript two) is a digit but not decimal, so it stays a
-    # BadRational. Every other token goes through parse_rational.
+    # parse_instance reads ASCII str.isdecimal() tokens with int(): exactly
+    # the unsigned ones that [0-9]+ matches. '\u0663' (an Arabic-Indic
+    # three) is decimal but not ASCII and '\u00b2' (a superscript two) is a
+    # digit but not decimal, so both stay BadRationals. Every other token
+    # goes through parse_rational.
     def outcome(parse):
         try:
             v = parse(token)
@@ -471,3 +478,17 @@ def test_generated_instances_are_pinned():
             for n, m in ((1, 0), (2, 5), (3, 9), (4, 1)):
                 h.update(serialize_instance(generate_random(seed, n, m, dist)).encode())
     assert h.hexdigest() == GENERATED_DIGEST
+
+
+def test_generate_random_draws_equal_randint():
+    # generate_random inlines randint's rejection loop on getrandbits; every
+    # entry must be the one Random(seed).randint draws, for widths of one,
+    # three and twenty, for bivalued rows (width two) and for m = 0.
+    dists = (UniformInt(1, 20), UniformInt(1, 3), UniformInt(5, 5),
+             Bivalued(Fraction(2)), Bivalued(Fraction(5, 2)), Bivalued(Fraction(7, 3)))
+    shapes = ((1, 0), (3, 0), (1, 1), (2, 5), (3, 9), (4, 1), (8, 16))
+    for seed in range(2000):
+        n, m = shapes[seed % len(shapes)]
+        for dist in dists:
+            assert generate_random(seed, n, m, dist).d == _fraction_generate(seed, n, m, dist), (
+                seed, n, m, dist)

@@ -165,6 +165,32 @@ def test_best_efx_factor_order_edge_cases():
         assert best_efx_factor(inst) == _unpruned_best_efx_factor(inst), rows
 
 
+def test_best_efx_factor_receiver_takes_a_new_least_chore():
+    # Chores are visited costliest first, so a receiver's later chore is
+    # often its new least chore (w < minv[a]). Bound (b) is tested with it
+    # before the column moves, and the least chore kept for the subtree
+    # must be the new one. In the first instance the optimum {3} | {2, 1}
+    # gives agent 2 chore 1 after chore 2; with its least chore left at 2
+    # it would read agent 2's residual as 1, not 2, and return 1/3.
+    for rows, best in (
+        ([[1, 2, 3], [1, 2, 3]], Fraction(2, 3)),
+        ([[5, 1, 4, 2], [1, 6, 2, 5], [3, 3, 1, 4]], Fraction(2, 5)),
+    ):
+        inst = make_instance(rows)
+        assert best_efx_factor(inst) == _unpruned_best_efx_factor(inst) == best, rows
+
+
+def test_best_efx_factor_bound_b_meets_incumbent():
+    # Three agents and six unit chores: the best split gives two chores
+    # each, factor 1/2. Once that is the incumbent, an agent taking its
+    # second chore has hat 1 over an average rival sum of (6 - 2) / 2, so
+    # bound (b) equals the incumbent exactly and cuts: no leaf below it
+    # is strictly smaller. The same holds for two agents and four chores.
+    for rows in ([[1] * 6] * 3, [[1] * 4] * 2):
+        inst = make_instance(rows)
+        assert best_efx_factor(inst) == _unpruned_best_efx_factor(inst) == Fraction(1, 2)
+
+
 def test_pef1_mpb_exists_examples():
     assert search_pef1_mpb(make_instance([[5, 6]])) is not None
     assert search_pef1_mpb(inst_i1()) is not None
